@@ -4,9 +4,12 @@ Everything downstream (tensor invariants, curve transforms, point counts)
 is decided by exact equality, so this module provides the scalar and
 matrix types used throughout:
 
-* ``GaussianRational``: elements of Q(i) as pairs of ``fractions.Fraction``.
+* ``GaussianRational``: elements (a + b*i)/d of Q(i), stored as a
+  canonical triple of ints (d > 0, gcd(a, b, d) = 1), with one gcd per
+  operation and none when a denominator is 1.
 * ``PrimeFieldElement``: elements of F_p for a prime p.
-* ``ExactMatrix``: dense matrices over Q(i) with exact rank/determinant.
+* ``ExactMatrix``: dense matrices over Q(i) with exact rank/determinant,
+  power traces tr(A), ..., tr(A^k), and nilpotency decided by them.
 * ``BinaryForm``: homogeneous forms in two variables over Q(i), with GCD.
 
 Plain ``int`` and ``Fraction`` values coerce into ``GaussianRational``
@@ -16,7 +19,7 @@ wherever a scalar is expected, which keeps call sites readable.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterable, Sequence, Union
 
 from .errors import SchemaError
@@ -40,17 +43,40 @@ def is_prime(n: int) -> bool:
 
 
 class GaussianRational:
-    """An element a + b*i of Q(i) with a, b stored as reduced Fractions."""
+    """An element (a + b*i)/d of Q(i), stored as a canonical triple of ints.
 
-    __slots__ = ("re", "im")
+    The triple has d > 0 and gcd(a, b, d) = 1, so equal values store
+    identical triples and equality is a comparison of three ints.  The
+    real and imaginary parts are exposed as read-only ``Fraction``
+    properties ``re`` and ``im``.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: Union[int, Fraction] = 0, im: Union[int, Fraction] = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re = Fraction(re)
+        im = Fraction(im)
+        dr, di = re.denominator, im.denominator
+        # over the lcm of two reduced denominators, gcd(a, b, d) is already 1
+        d = dr if dr == di else dr * di // gcd(dr, di)
+        self._a = re.numerator * (d // dr)
+        self._b = im.numerator * (d // di)
+        self._d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def i() -> "GaussianRational":
-        return GaussianRational(0, 1)
+        return _gauss(0, 1, 1)
 
     @staticmethod
     def coerce(value: ScalarLike) -> "GaussianRational":
@@ -61,72 +87,68 @@ class GaussianRational:
         raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
 
     # -- arithmetic ----------------------------------------------------
-
-    def _other(self, value):
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
-        return None
+    # Each operation works on the triples and reduces at most once.
 
     def __add__(self, other):
-        o = self._other(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        return _sum(self._a, self._b, self._d, *o)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._other(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        c, e, f = o
+        return _sum(self._a, self._b, self._d, -c, -e, f)
 
     def __rsub__(self, other):
-        o = self._other(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        return _sum(*o, -self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        o = self._other(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b, d = self._a, self._b, self._d
+        c, e, f = o
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gauss(-self._a, -self._b, self._d)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gauss(self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
         """The field norm a^2 + b^2, a non-negative rational."""
-        return self.re * self.re + self.im * self.im
+        a, b, d = self._a, self._b, self._d
+        return Fraction(a * a + b * b, d * d)
 
     def inverse(self) -> "GaussianRational":
-        n = self.norm()
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _reduced(a * d, -b * d, n)
 
     def __truediv__(self, other):
-        o = self._other(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return _quotient((self._a, self._b, self._d), o)
 
     def __rtruediv__(self, other):
-        o = self._other(other)
+        o = _triple(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return _quotient(o, (self._a, self._b, self._d))
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -135,54 +157,145 @@ class GaussianRational:
         if exponent < 0:
             base = self.inverse()
             exponent = -exponent
-        out = GaussianRational(1)
+        # raise the Gaussian integer numerator and the denominator
+        # separately, then reduce once
+        a, b, d = base._a, base._b, base._d
+        x, y = 1, 0
+        den = d ** exponent
         while exponent:
             if exponent & 1:
-                out = out * base
-            base = base * base
+                x, y = x * a - y * b, x * b + y * a
+            a, b = a * a - b * b, 2 * a * b
             exponent >>= 1
-        return out
+        return _reduced(x, y, den)
 
     # -- comparisons ---------------------------------------------------
 
     def __eq__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, GaussianRational):
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, int):
+            return self._b == 0 and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (
+                self._b == 0
+                and self._a == other.numerator
+                and self._d == other.denominator
+            )
+        return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # agree with int and Fraction on real values; the int tuple hashes
+        # like the tuple of equal Fractions when d = 1
+        a, b, d = self._a, self._b, self._d
+        if b == 0:
+            return hash(a) if d == 1 else hash(Fraction(a, d))
+        if d == 1:
+            return hash((a, b))
+        return hash((Fraction(a, d), Fraction(b, d)))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self._a != 0 or self._b != 0
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._a == 0 and self._b == 0
 
     def is_rational(self) -> bool:
-        return self.im == 0
+        return self._b == 0
 
     def as_fraction(self) -> Fraction:
-        if self.im != 0:
+        if self._b != 0:
             raise ValueError(f"{self!r} has a nonzero imaginary part")
-        return self.re
+        return Fraction(self._a, self._d)
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
     def __repr__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re} {sign} {abs(self.im)}*i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}*i"
+        sign = "+" if im > 0 else "-"
+        return f"({re} {sign} {abs(im)}*i)"
+
+
+_new_object = object.__new__
+
+
+def _gauss(a: int, b: int, d: int) -> GaussianRational:
+    """Wrap a triple that is already canonical (d > 0, gcd(a, b, d) = 1)."""
+    g = _new_object(GaussianRational)
+    g._a = a
+    g._b = b
+    g._d = d
+    return g
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """Wrap (a + b*i)/d for any d > 0, dividing out gcd(a, b, d)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _gauss(a, b, d)
+
+
+def _triple(value):
+    """The canonical triple of a scalar operand, or None for other types."""
+    if isinstance(value, GaussianRational):
+        return value._a, value._b, value._d
+    if isinstance(value, int):
+        return value, 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    return None
+
+
+def _sum(a: int, b: int, d: int, c: int, e: int, f: int) -> GaussianRational:
+    """(a + b*i)/d + (c + e*i)/f for canonical triples.
+
+    When one denominator is 1 no gcd is needed: gcd(a + c*d, b + e*d, d)
+    equals gcd(a, b, d), which is 1.
+    """
+    if d == f:
+        if d == 1:
+            return _gauss(a + c, b + e, 1)
+        return _reduced(a + c, b + e, d)
+    if f == 1:
+        return _gauss(a + c * d, b + e * d, d)
+    if d == 1:
+        return _gauss(a * f + c, b * f + e, f)
+    return _reduced(a * f + c * d, b * f + e * d, d * f)
+
+
+def _sum_of(values: Iterable[GaussianRational]) -> GaussianRational:
+    total = _ZERO
+    for v in values:
+        total = total + v
+    return total
+
+
+def _dot(xs: Sequence[GaussianRational], ys: Sequence[GaussianRational]) -> GaussianRational:
+    """The sum of x*y over paired entries."""
+    return _sum_of(x * y for x, y in zip(xs, ys))
+
+
+def _quotient(num, den) -> GaussianRational:
+    """(a + b*i)/d divided by (c + e*i)/f, as one reduction."""
+    a, b, d = num
+    c, e, f = den
+    n = c * c + e * e
+    if n == 0:
+        raise ZeroDivisionError("inverse of zero in Q(i)")
+    return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * n)
 
 
 GAUSSIAN_I = GaussianRational.i()
+_ZERO = GaussianRational(0)
 
 
 # -- JSON scalar encoding ---------------------------------------------
@@ -197,7 +310,7 @@ def fraction_str(value: Union[int, Fraction]) -> str:
 def scalar_to_json(value: ScalarLike):
     """Encode a scalar for JSON: rationals as "p/q" strings, Q(i) as re/im pairs."""
     g = GaussianRational.coerce(value)
-    if g.im == 0:
+    if g.is_rational():
         return fraction_str(g.re)
     return {"re": fraction_str(g.re), "im": fraction_str(g.im)}
 
@@ -342,6 +455,13 @@ class ExactMatrix:
         self.rows = coerced
 
     @classmethod
+    def _wrap(cls, rows) -> "ExactMatrix":
+        """A matrix on a rectangular tuple of tuples of GaussianRational, unchecked."""
+        m = _new_object(cls)
+        m.rows = rows
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[1 if r == c else 0 for c in range(n)] for r in range(n)])
 
@@ -382,10 +502,7 @@ class ExactMatrix:
     def trace(self) -> GaussianRational:
         if self.nrows != self.ncols:
             raise ValueError("trace of a non-square matrix")
-        total = GaussianRational(0)
-        for k in range(self.nrows):
-            total = total + self.rows[k][k]
-        return total
+        return _sum_of(self.rows[k][k] for k in range(self.nrows))
 
     def scale(self, factor: ScalarLike) -> "ExactMatrix":
         c = GaussianRational.coerce(factor)
@@ -415,17 +532,10 @@ class ExactMatrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        cols = other.transpose().rows
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = GaussianRational(0)
-                for a, b in zip(row, col):
-                    acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return ExactMatrix(out)
+        cols = tuple(zip(*other.rows))
+        return ExactMatrix._wrap(
+            tuple(tuple(_dot(row, col) for col in cols) for row in self.rows)
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -496,10 +606,35 @@ class ExactMatrix:
             return GaussianRational(0)
         return product if sign > 0 else -product
 
+    def power_traces(self, k: int) -> list:
+        """[tr(A), tr(A^2), ..., tr(A^k)] for this square matrix A.
+
+        Only the powers up to A^h, h = ceil(k/2), are formed; each higher
+        trace is tr(A^(j-h) A^h), which costs n^2 products instead of n^3.
+        """
+        if self.nrows != self.ncols:
+            raise ValueError("power traces of a non-square matrix")
+        half = (k + 1) // 2
+        powers = [self]
+        while len(powers) < half:
+            powers.append(powers[-1] * self)
+        traces = [p.trace() for p in powers[:k]]
+        top = powers[-1].rows
+        for j in range(half + 1, k + 1):
+            low = powers[j - half - 1].rows
+            traces.append(_sum_of(_dot(row, col) for row, col in zip(low, zip(*top))))
+        return traces
+
     def is_nilpotent(self) -> bool:
+        """Over Q(i) (characteristic 0), A is nilpotent iff tr(A^j) = 0 for j = 1..n.
+
+        The traces are the power sums of the eigenvalues; by Newton's
+        identities they all vanish exactly when the characteristic
+        polynomial is x^n.
+        """
         if self.nrows != self.ncols:
             raise ValueError("nilpotency of a non-square matrix")
-        return (self ** self.nrows).is_zero()
+        return all(t.is_zero() for t in self.power_traces(self.nrows))
 
     def to_json(self):
         return [[scalar_to_json(e) for e in row] for row in self.rows]

@@ -20,8 +20,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import DomainError, SchemaError
 from .exact import ExactMatrix, GaussianRational, fraction_str, scalar_to_json
 from .quintuple import (
@@ -35,12 +33,21 @@ from .quintuple import (
 from .quiver import CyclicPotential, conifold_quiver
 
 _PAIR_POS = {pair: k for k, pair in enumerate(PAIR_INDEX)}
+_UPPER = [(r, c) for r in range(4) for c in range(r, 4)]
+# _UPPER_POS[r][c]: where entry (r, c) of a symmetric 4x4 matrix sits in _UPPER
+_UPPER_POS = tuple(
+    tuple(_UPPER.index((min(r, c), max(r, c))) for c in range(4)) for r in range(4)
+)
 
 
 class SymmetricPotentialMatrix:
-    """A symmetric 4x4 rational matrix encoding a quartic conifold potential."""
+    """A symmetric 4x4 rational matrix encoding a quartic conifold potential.
 
-    __slots__ = ("n",)
+    Only the ten entries on and above the diagonal are stored; ``n`` gives
+    the full matrix as a tuple of row tuples.
+    """
+
+    __slots__ = ("_upper",)
 
     def __init__(self, rows: Sequence[Sequence[Fraction]]):
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
@@ -50,16 +57,21 @@ class SymmetricPotentialMatrix:
             for c in range(r):
                 if n[r][c] != n[c][r]:
                     raise DomainError(f"matrix is not symmetric at ({r}, {c})")
-        self.n = n
+        self._upper = tuple(n[r][c] for r, c in _UPPER)
+
+    @property
+    def n(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        u = self._upper
+        return tuple(tuple(u[_UPPER_POS[r][c]] for c in range(4)) for r in range(4))
 
     def __getitem__(self, key) -> Fraction:
         r, c = key
-        return self.n[r][c]
+        return self._upper[_UPPER_POS[r][c]]
 
     def __eq__(self, other):
         if not isinstance(other, SymmetricPotentialMatrix):
             return NotImplemented
-        return self.n == other.n
+        return self._upper == other._upper
 
     def __hash__(self):
         return hash(self.n)
@@ -68,7 +80,7 @@ class SymmetricPotentialMatrix:
         return f"SymmetricPotentialMatrix({[list(map(str, r)) for r in self.n]})"
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.n for v in row)
+        return not any(self._upper)
 
     def to_exact(self) -> ExactMatrix:
         return ExactMatrix(self.n)
@@ -124,7 +136,7 @@ def sym_matrix_to_potential(n: SymmetricPotentialMatrix) -> CyclicPotential:
     return CyclicPotential(conifold_quiver(), terms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PotentialInvariants:
     f1: Fraction
     f2: Fraction
@@ -149,13 +161,8 @@ def hamiltonian_matrix(n: SymmetricPotentialMatrix) -> ExactMatrix:
 def invariants_potential(n: SymmetricPotentialMatrix) -> PotentialInvariants:
     if n.is_zero():
         raise DomainError("invariants of the zero potential are not defined")
-    h = hamiltonian_matrix(n)
-    traces = []
-    power = h
-    for _ in range(4):
-        traces.append(power.trace().as_fraction())
-        power = power * h
-    return PotentialInvariants(*traces)
+    traces = hamiltonian_matrix(n).power_traces(4)
+    return PotentialInvariants(*(t.as_fraction() for t in traces))
 
 
 def classify_stability_potential(n: SymmetricPotentialMatrix) -> str:
@@ -227,7 +234,7 @@ def verify_covering_identities(n: SymmetricPotentialMatrix) -> bool:
 # -- fibers of the covering -------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiberReport:
     """Outcome of the sign-pattern fiber experiment over a diagonal spectrum."""
 
@@ -297,15 +304,9 @@ def fiber_experiment(spectrum: Sequence[Fraction]) -> FiberReport:
             distinct.append(pt)
     target = even_targets[0]
     consistent = all(weighted_point_equal(target, t) for t in even_targets[1:])
-    # The odd targets agree with the even one in every slot except the
-    # determinant, whose sign flips.  A weighted scaling relating the two
-    # would need mu^2 = 1 on the nonzero weight-2 slot, hence mu^4 = 1 on
-    # the determinant slot, so they coincide exactly when that slot is 0.
-    # (The generic pairwise test cannot see this sign: (-1)^2 == 1^4.)
-    determinant = Fraction(1)
-    for v in xs:
-        determinant *= v
-    odd_differ = determinant != 0 and bool(odd_targets)
+    odd_differ = bool(odd_targets) and not any(
+        weighted_point_equal(target, t) for t in odd_targets
+    )
     return FiberReport(
         spectrum=tuple(xs),
         target=target,
@@ -328,6 +329,8 @@ def reconstruct_spectrum(n: SymmetricPotentialMatrix, residual_bound: float = 1e
     exact traces; a relative residual above ``residual_bound`` raises
     DomainError.
     """
+    import numpy as np  # the only float code; kept off the package import path
+
     inv = invariants_potential(n)
     p1, p2, p3, p4 = (Fraction(v) for v in inv.as_tuple())
     e1 = p1

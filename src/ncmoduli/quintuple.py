@@ -171,7 +171,7 @@ def linear_reference_quintuple() -> Quintuple:
     return Quintuple(entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuintupleInvariants:
     f2: GaussianRational
     f4: GaussianRational
@@ -203,14 +203,8 @@ def invariants(q: Quintuple) -> QuintupleInvariants:
     """The invariants (f2, f4, g4, f6) of a nonzero tensor."""
     if q.is_zero():
         raise DomainError("invariants of the zero tensor are not defined")
-    a = pairing_matrix(q)
-    a2 = a * a
-    return QuintupleInvariants(
-        f2=a.trace(),
-        f4=a2.trace(),
-        g4=q.flatten().det(),
-        f6=(a2 * a).trace(),
-    )
+    f2, f4, f6 = pairing_matrix(q).power_traces(3)
+    return QuintupleInvariants(f2=f2, f4=f4, g4=q.flatten().det(), f6=f6)
 
 
 def classify_stability(q: Quintuple) -> str:
@@ -228,7 +222,7 @@ def classify_stability(q: Quintuple) -> str:
     return "strictly-semistable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightedPoint:
     """A point of a weighted projective space, kept as raw coordinates."""
 
@@ -263,12 +257,30 @@ def weighted_point(q: Quintuple) -> WeightedPoint:
     return WeightedPoint(weights=(2, 4, 4, 6), coords=inv.as_tuple())
 
 
-def weighted_point_equal(p: WeightedPoint, q: WeightedPoint) -> bool:
-    """Equality in weighted projective space by cross-scaling checks.
+def _extended_gcd(values: Sequence[int]) -> Tuple[int, List[int]]:
+    """g = gcd(values) and integers c with sum(c_k * values_k) = g."""
+    g, coeffs = values[0], [1]
+    for w in values[1:]:
+        # extended Euclid on (g, w): s*g + t*w = gcd(g, w)
+        r0, r1, s0, s1, t0, t1 = g, w, 1, 0, 0, 1
+        while r1:
+            quo = r0 // r1
+            r0, r1 = r1, r0 - quo * r1
+            s0, s1 = s1, s0 - quo * s1
+            t0, t1 = t1, t0 - quo * t1
+        g = r0
+        coeffs = [s0 * c for c in coeffs] + [t0]
+    return g, coeffs
 
-    Zero patterns must agree; for each pair of coordinates in the common
-    support the scaling factor is eliminated by comparing
-    (q_i / p_i)^(w_j) with (q_j / p_j)^(w_i).
+
+def weighted_point_equal(p: WeightedPoint, q: WeightedPoint) -> bool:
+    """Exact equality in weighted projective space over the algebraic closure.
+
+    The points agree iff some mu has q_k = mu^(w_k) * p_k for every k.
+    Zero patterns must agree.  On the common support let r_k = q_k / p_k
+    and g = gcd(w_k) = sum(c_k * w_k).  Any such mu gives
+    nu = prod(r_k^(c_k)) = mu^g, hence r_k = nu^(w_k / g); conversely a
+    g-th root of nu is such a mu.  So the test is r_k == nu^(w_k / g).
     """
     if p.weights != q.weights:
         raise ValueError(f"weight mismatch {p.weights} vs {q.weights}")
@@ -278,12 +290,13 @@ def weighted_point_equal(p: WeightedPoint, q: WeightedPoint) -> bool:
             return False
         if not a.is_zero():
             support.append(k)
-    for i, j in combinations(support, 2):
-        ratio_i = q.coords[i] / p.coords[i]
-        ratio_j = q.coords[j] / p.coords[j]
-        if ratio_i ** p.weights[j] != ratio_j ** p.weights[i]:
-            return False
-    return True
+    ratios = [q.coords[k] / p.coords[k] for k in support]
+    weights = [p.weights[k] for k in support]
+    g, coeffs = _extended_gcd(weights)
+    nu = GaussianRational(1)
+    for r, c in zip(ratios, coeffs):
+        nu = nu * r ** c
+    return all(r == nu ** (w // g) for r, w in zip(ratios, weights))
 
 
 def _contraction_slices(q: Quintuple, j: int) -> List[List[List[GaussianRational]]]:

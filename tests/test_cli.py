@@ -196,3 +196,103 @@ def test_acceptance_table_mode(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 8
     assert all(line.startswith("criterion ") and "[pass]" in line for line in lines)
+
+
+# Inputs with non-integer and Gaussian values, and the exact output
+# documents the command printed for them before Q(i) was stored as
+# integers.  The CLI writes sorted keys with two-space indentation, so the
+# literal fixes every output byte.
+GOLDEN_POTENTIAL = [
+    {"cycle": ["a1", "b1", "a2", "b2"], "coeff": "3/2"},
+    {"cycle": ["a1", "b2", "a2", "b1"], "coeff": "-2/3"},
+    {"cycle": ["a1", "b1", "a1", "b2"], "coeff": "5/7"},
+    {"cycle": ["a2", "b2", "a2", "b2"], "coeff": "-1/4"},
+    {"cycle": ["a2", "b1", "a1", "b1"], "coeff": "1/3"},
+]
+GOLDEN_MATRIX = [
+    ["0", "5/14", "1/6", "3/4"], ["5/14", "0", "-1/3", "0"],
+    ["1/6", "-1/3", "0", "0"], ["3/4", "0", "0", "-1/4"],
+]
+GOLDEN_TENSOR = [
+    [[[{"re": "1/2", "im": "1"}, "0"], ["2/3", {"re": "0", "im": "-1/3"}]],
+     [["1", "-1/5"], [{"re": "3", "im": "1/2"}, "0"]]],
+    [[["-1", {"re": "1/4", "im": "1/4"}], ["0", "5/6"]],
+     [[{"re": "0", "im": "2"}, "1"], ["-3/2", "1/7"]]],
+]
+GOLDEN_TENSOR_INVARIANTS = [
+    {"im": "57/28", "re": "-23/84"},
+    {"im": "68839/7056", "re": "-4091/1470"},
+    {"im": "8399/5040", "re": "4769/5040"},
+    {"im": "6077509/1975680", "re": "-92526641/5927040"},
+]
+GOLDEN_CASES = [
+    (
+        ["classify-potential"],
+        GOLDEN_POTENTIAL,
+        {
+            "f": ["13/6", "97/72", "6091/6048", "63559/72576"],
+            "matrix": GOLDEN_MATRIX,
+            "stability": "semistable",
+            "weighted_point": {
+                "coords": ["13/6", "97/72", "6091/6048", "63559/72576"],
+                "weights": [1, 2, 3, 4],
+            },
+        },
+    ),
+    (
+        ["map-potential"],
+        GOLDEN_POTENTIAL,
+        {
+            "covering_identities_ok": True,
+            "matrix": GOLDEN_MATRIX,
+            "quintuple": [
+                [[["0", "5/14"], ["1/6", "3/4"]], [["5/14", "0"], ["-1/3", "0"]]],
+                [[["1/6", "-1/3"], ["0", "0"]], [["3/4", "0"], ["0", "-1/4"]]],
+            ],
+            "quintuple_invariants": {
+                "f2": "97/72",
+                "f4": "63559/72576",
+                "f6": "58490113/73156608",
+                "g4": "73/1008",
+            },
+        },
+    ),
+    (
+        ["classify-quintuple"],
+        GOLDEN_TENSOR,
+        {
+            "failing_slot": None,
+            "geometric": True,
+            "invariants": dict(zip(("f2", "f4", "g4", "f6"), GOLDEN_TENSOR_INVARIANTS)),
+            "stability": "stable",
+            "weighted_point": {"coords": GOLDEN_TENSOR_INVARIANTS, "weights": [2, 4, 4, 6]},
+        },
+    ),
+    (
+        ["elliptic", "check"],
+        {"lambda": "1/36", "p1": ["9/4", "1", "5/2"], "p2": ["16/9", "1", "14/9"]},
+        {"admissible": True, "lambda": "1/36", "p1_on_curve": True, "p2_on_curve": True},
+    ),
+    (
+        ["elliptic", "check"],
+        {
+            "lambda": {"re": "2", "im": "-1"},
+            "p1": ["2", "1", {"re": "1", "im": "1"}],
+            "p2": [{"re": "2", "im": "-1"}, "1", "0"],
+        },
+        {
+            "admissible": False,
+            "lambda": {"im": "-1", "re": "2"},
+            "p1_on_curve": True,
+            "p2_on_curve": True,
+        },
+    ),
+]
+
+
+def test_golden_outputs(tmp_path, capsys):
+    for k, (command, doc, expected) in enumerate(GOLDEN_CASES):
+        src = _write(tmp_path, f"golden{k}.json", doc)
+        code, out = _run(capsys, command + ["-i", src])
+        assert code == 0
+        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n", command

@@ -1,6 +1,7 @@
 """Scalar, matrix, and binary-form arithmetic against independent oracles."""
 
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -81,6 +82,127 @@ def test_gaussian_int_fraction_mixing():
     assert GaussianRational(3) == 3
     assert GaussianRational(3) == Fraction(3)
     assert hash(GaussianRational(3)) == hash(3)
+
+
+# -- reference Q(i): a plain (re, im) pair of Fractions ------------------
+
+
+def _ref(x):
+    if isinstance(x, GaussianRational):
+        return (x.re, x.im)
+    return (Fraction(x), Fraction(0))
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_inverse(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return (x[0] / n, -x[1] / n)
+
+
+def _ref_pow(x, k):
+    if k < 0:
+        x, k = _ref_inverse(x), -k
+    out = (Fraction(1), Fraction(0))
+    for _ in range(k):
+        out = _ref_mul(out, x)
+    return out
+
+
+def _assert_matches(g, ref):
+    """g has the reference value and a canonical (a, b, d) triple."""
+    assert isinstance(g, GaussianRational)
+    assert (g.re, g.im) == ref
+    a, b, d = g._a, g._b, g._d
+    assert d > 0 and gcd(a, b, d) == 1
+    rebuilt = GaussianRational(*ref)
+    assert (rebuilt._a, rebuilt._b, rebuilt._d) == (a, b, d)
+
+
+def _rand_operand(rng):
+    """A Gaussian rational, an int or a Fraction, of mixed heights."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.randint(-20, 20)
+    if kind == 1:
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+    if kind == 2:
+        return GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9))
+    if kind == 3:
+        return _rand_gaussian(rng, span=10 ** 6, maxden=10 ** 3)
+    return _rand_gaussian(rng)
+
+
+def test_gaussian_matches_fraction_pair_reference():
+    rng = Random(108)
+    for _ in range(400):
+        x = _rand_gaussian(rng) if rng.random() < 0.5 else _rand_operand(rng)
+        if not isinstance(x, GaussianRational):
+            x = GaussianRational(x)
+        y = _rand_operand(rng)
+        rx, ry = _ref(x), _ref(y)
+        _assert_matches(x + y, (rx[0] + ry[0], rx[1] + ry[1]))
+        _assert_matches(y + x, (rx[0] + ry[0], rx[1] + ry[1]))
+        _assert_matches(x - y, (rx[0] - ry[0], rx[1] - ry[1]))
+        _assert_matches(y - x, (ry[0] - rx[0], ry[1] - rx[1]))
+        _assert_matches(x * y, _ref_mul(rx, ry))
+        _assert_matches(y * x, _ref_mul(rx, ry))
+        _assert_matches(-x, (-rx[0], -rx[1]))
+        _assert_matches(x.conjugate(), (rx[0], -rx[1]))
+        assert x.norm() == rx[0] * rx[0] + rx[1] * rx[1]
+        assert isinstance(x.norm(), Fraction)
+        if any(ry):
+            _assert_matches(x / y, _ref_mul(rx, _ref_inverse(ry)))
+        if any(rx):
+            _assert_matches(y / x, _ref_mul(ry, _ref_inverse(rx)))
+            _assert_matches(x.inverse(), _ref_inverse(rx))
+        for k in range(-3 if any(rx) else 0, 5):
+            _assert_matches(x ** k, _ref_pow(rx, k))
+
+
+def test_gaussian_zero_division():
+    zero = GaussianRational(0)
+    for bad in (lambda: zero.inverse(), lambda: 1 / zero, lambda: GaussianRational(1, 1) / 0,
+                lambda: zero ** -1):
+        with pytest.raises(ZeroDivisionError):
+            bad()
+    assert zero ** 0 == 1
+
+
+def test_gaussian_equality_and_hash_against_int_and_fraction():
+    rng = Random(109)
+    for _ in range(200):
+        q = Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+        g = GaussianRational(q)
+        assert g == q and q == g
+        assert hash(g) == hash(q)
+        assert g.is_rational() and g.as_fraction() == q
+        if q.denominator == 1:
+            n = int(q)
+            assert g == n and n == g
+            assert hash(g) == hash(n)
+        # the same value reached by arithmetic stores the same triple
+        h = (g + GaussianRational(0, 1)) - GaussianRational(0, 1)
+        assert (h._a, h._b, h._d) == (g._a, g._b, g._d)
+        assert hash(h) == hash(g)
+        z = GaussianRational(q, rng.choice([-3, Fraction(1, 2), 7]))
+        assert z != q and q != z and z != z.re
+        assert hash(z) == hash((z.re, z.im))
+    assert GaussianRational(Fraction(6, 4), Fraction(-2, 6)) == GaussianRational(
+        Fraction(3, 2), Fraction(-1, 3)
+    )
+    assert GaussianRational(1) != 1.5 and GaussianRational(1) != "1"
+
+
+def test_gaussian_parts_are_read_only():
+    g = GaussianRational(Fraction(1, 2), 3)
+    assert isinstance(g.re, Fraction) and isinstance(g.im, Fraction)
+    with pytest.raises(AttributeError):
+        g.re = Fraction(1)
+    with pytest.raises(AttributeError):
+        g.im = Fraction(1)
 
 
 def test_scalar_json_roundtrip():
@@ -186,6 +308,25 @@ def test_matrix_nilpotency():
         assert conj.is_nilpotent()
     assert not ExactMatrix.identity(4).is_nilpotent()
     assert ExactMatrix.zeros(3, 3).is_nilpotent()
+    i = GaussianRational.i()
+    assert ExactMatrix([[1, i], [i, -1]]).is_nilpotent()
+    # trace zero, but tr(A^2) = -2
+    assert not ExactMatrix([[0, i], [i, 0]]).is_nilpotent()
+    with pytest.raises(ValueError):
+        ExactMatrix([[1, 2, 3], [4, 5, 6]]).is_nilpotent()
+
+
+def test_power_traces_match_explicit_powers():
+    rng = Random(110)
+    for n in (1, 2, 3, 4, 5):
+        m = _random_matrix(rng, n)
+        for k in range(7):
+            assert m.power_traces(k) == [(m ** j).trace() for j in range(1, k + 1)]
+    wide = ExactMatrix([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError):
+        wide.power_traces(2)
+    with pytest.raises(ValueError):
+        wide ** 2
 
 
 def _inverse(m):

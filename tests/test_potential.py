@@ -1,6 +1,10 @@
 """Potential-side invariants, the covering map, fibers, and spectra."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -220,3 +224,15 @@ def test_reconstruct_spectrum_random_consistency():
         for d, target in enumerate(inv.as_tuple(), start=1):
             power_sum = sum(z ** d for z in roots)
             assert abs(power_sum - float(target)) <= 1e-7 * max(1.0, abs(float(target)))
+
+
+def test_import_does_not_load_numpy():
+    src_dir = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    probe = "import sys, ncmoduli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

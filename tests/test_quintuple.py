@@ -177,6 +177,24 @@ def test_weighted_point_equality_rules():
         WeightedPoint(w, tuple(GaussianRational(0) for _ in range(4)))
 
 
+def test_weighted_point_equality_is_exact_across_weights():
+    w = (2, 4, 4, 6)
+    ones = WeightedPoint(w, (1, 1, 1, 1))
+    # mu^2 = 1 forces mu^4 = 1, so the sign of the weight-4 slot cannot flip
+    assert not weighted_point_equal(ones, WeightedPoint(w, (1, 1, -1, 1)))
+    # mu = i: (i^2, i^4, i^4, i^6) = (-1, 1, 1, -1)
+    assert weighted_point_equal(ones, WeightedPoint(w, (-1, 1, 1, -1)))
+    # mu = 1 + i scales by (2i, -4, -4, -8i); with gcd of the weights 2
+    # the test must still find it
+    mu = GaussianRational(1, 1)
+    base = WeightedPoint(w, (Fraction(1, 2), 3, GaussianRational(0, 2), -1))
+    moved = WeightedPoint(w, tuple(mu ** wk * c for wk, c in zip(w, base.coords)))
+    assert weighted_point_equal(base, moved) and weighted_point_equal(moved, base)
+    # a weight-4 slot alone: any nonzero ratio has a fourth root
+    lone = WeightedPoint(w, (0, 0, 1, 0))
+    assert weighted_point_equal(lone, WeightedPoint(w, (0, 0, -3, 0)))
+
+
 def test_slot_transform_preserves_invariants():
     rng = Random(42)
     shears = [
