@@ -11,20 +11,34 @@ vertex the torus acts freely on the stable locus once i != 0 is forced,
 so orbits are counted by fixing a gauge i = 1 and dividing the remaining
 free (p - 1)-action out of the (a, b) scalars; divisibility is asserted
 rather than assumed.
+
+Stability depends only on which of the five scalars vanish, so each
+StabilityParameter holds one verdict per zero pattern (32 of them), and
+both ``is_theta_stable`` and the framed-chamber check of ``count_points``
+read that table.  The relations are compiled once per count into
+commuting polynomials mod p.  The count walks the (a1, a2) slices: a
+slice on which every relation vanishes adds its stable points in closed
+form, and any other slice is enumerated point by point over (b1, b2), so
+potentials whose relations cut out a proper subset still cost O(p^4).
+Primes above ``MAX_COUNT_PRIME`` are refused before any enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .exact import PrimeFieldElement, fraction_str, is_prime
-from .quiver import CyclicPotential, conifold_quiver, jacobi_generators
+from .quiver import CyclicPotential, conifold_quiver, framed_conifold_quiver, jacobi_generators
 
 ARROW_ORDER = ("a1", "a2", "b1", "b2")
+
+#: Largest prime accepted by :func:`count_points` and :func:`counting_report`.
+MAX_COUNT_PRIME = 31
 
 
 @dataclass(frozen=True)
@@ -75,93 +89,126 @@ class StabilityParameter:
     def to_json(self):
         return [fraction_str(v) for v in self.as_tuple()]
 
+    @cached_property
+    def _stable_patterns(self) -> Tuple[bool, ...]:
+        # the stability verdict of each zero pattern, indexed by pattern bits
+        return _stability_table(self.as_tuple())
+
 
 def default_stability() -> StabilityParameter:
     return StabilityParameter(Fraction(-1), Fraction(-1), Fraction(2))
 
 
-def _compiled_relations(potential: CyclicPotential, p: int) -> List[List[Tuple[int, Tuple[str, ...]]]]:
-    """The Jacobi relations as lists of (coefficient mod p, arrow word) terms.
+def _check_count_bound(p: int) -> None:
+    if p > MAX_COUNT_PRIME:
+        raise DomainError(
+            f"prime {p} exceeds the configured bound {MAX_COUNT_PRIME}; "
+            "a point count enumerates p^4 representations"
+        )
 
-    Raises DomainError when a coefficient denominator vanishes mod p,
-    since the relation scheme itself degenerates there.
+
+def _commuting_relations(potential: CyclicPotential, p: int) -> List[Dict[Tuple[int, ...], int]]:
+    """The Jacobi relations at dimension (1, 1, 1) as commuting polynomials mod p.
+
+    Scalars commute, so the cyclic derivative by an arrow x evaluates to
+    the ordinary partial derivative by x of the potential's polynomial.
+    Each relation maps an exponent vector over ``ARROW_ORDER`` to its
+    coefficient mod p; terms that cancel mod p are dropped, and so are
+    relations that vanish identically.
+
+    Raises DomainError when p is not prime, or when a coefficient of a
+    derivative path has a denominator divisible by p, since the relation
+    scheme itself degenerates there.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    out = []
-    for gen in jacobi_generators(potential):
-        terms = []
-        for path, coeff in gen.items():
-            frac = coeff.as_fraction()
-            if frac.denominator % p == 0:
-                raise DomainError(
-                    f"coefficient {frac} is not defined in characteristic {p}"
-                )
-            num = frac.numerator % p
-            den_inv = pow(frac.denominator % p, p - 2, p)
-            terms.append((num * den_inv % p, path.arrows))
-        out.append(terms)
-    return out
+    relations: List[Dict[Tuple[int, ...], int]] = [{} for _ in ARROW_ORDER]
+    for word, coeff in potential.terms.items():
+        # a word of period d is len/d of its own rotations, so every path
+        # of its derivatives carries the coefficient coeff * len / d
+        n = len(word)
+        repeats = n // next(d for d in range(1, n + 1) if word[d:] + word[:d] == word)
+        path_coeff = coeff * repeats
+        if path_coeff.denominator % p == 0:
+            # name the first such coefficient in the order of jacobi_generators,
+            # so the message does not depend on the order of the terms
+            first = next(
+                c.as_fraction()
+                for gen in jacobi_generators(potential)
+                for _, c in gen.items()
+                if c.as_fraction().denominator % p == 0
+            )
+            raise DomainError(f"coefficient {first} is not defined in characteristic {p}")
+        c = path_coeff.numerator * pow(path_coeff.denominator, -1, p) % p
+        exps = tuple(word.count(x) for x in ARROW_ORDER)
+        for k, relation in enumerate(relations):
+            if exps[k]:
+                # exps[k] / repeats distinct paths, each with monomial word / x
+                key = exps[:k] + (exps[k] - 1,) + exps[k + 1:]
+                relation[key] = (relation.get(key, 0) + c * (exps[k] // repeats)) % p
+    compact = ({e: c for e, c in relation.items() if c} for relation in relations)
+    return [relation for relation in compact if relation]
+
+
+def _relations_hold(relations: List[Dict[Tuple[int, ...], int]], values: Tuple[int, ...], p: int) -> bool:
+    """Whether every relation vanishes at the scalars ``values`` over ``ARROW_ORDER``."""
+    for relation in relations:
+        total = 0
+        for exps, c in relation.items():
+            for v, e in zip(values, exps):
+                c *= v ** e
+            total += c
+        if total % p:
+            return False
+    return True
 
 
 def satisfies_relations(rep: FramedRep, potential: CyclicPotential) -> bool:
     """Evaluate every cyclic-derivative relation on the representation."""
     if potential.quiver != conifold_quiver():
         raise DomainError("relations are derived from a conifold potential")
-    values = {k: v.value for k, v in rep.scalars().items()}
-    for relation in _compiled_relations(potential, rep.p):
-        total = 0
-        for coeff, word in relation:
-            term = coeff
-            for label in word:
-                term = term * values[label] % rep.p
-            total = (total + term) % rep.p
-        if total != 0:
-            return False
-    return True
+    values = tuple(getattr(rep, x).value for x in ARROW_ORDER)
+    return _relations_hold(_commuting_relations(potential, rep.p), values, rep.p)
 
 
-def _subrep_patterns() -> List[Tuple[int, int, int]]:
-    """Candidate proper nonzero subdimension vectors (d0, d1, dinf)."""
-    return [d for d in product((0, 1), repeat=3) if d not in ((0, 0, 0), (1, 1, 1))]
+_FRAMED = framed_conifold_quiver()
+# a zero pattern has bit k set when the scalar on framed arrow k is nonzero;
+# the arrow labels are also the field names of FramedRep
+_BIT = {label: 1 << k for k, label in enumerate(_FRAMED.arrow_labels())}
 
 
-# arrows of the framed quiver as (label, source slot, target slot) over (0, 1, inf)
-_FRAMED_ARROWS = (
-    ("a1", 0, 1),
-    ("a2", 0, 1),
-    ("b1", 1, 0),
-    ("b2", 1, 0),
-    ("i", 2, 0),
-)
+def _stability_table(weights: Sequence[Fraction]) -> Tuple[bool, ...]:
+    """King stability at dimension (1, 1, 1) for each of the 32 zero patterns.
+
+    A subrepresentation supported on a pattern (d0, d1, dinf) exists
+    exactly when no arrow with a nonzero scalar leaves a fully kept vertex
+    for a dropped one; stability requires every such proper pattern to
+    have slope strictly below the total slope.  Only the patterns at or
+    above the total slope matter, each through the arrows that leave it.
+    """
+    slot = {v: k for k, v in enumerate(_FRAMED.vertices)}
+    total_slope = sum(weights, Fraction(0)) / 3
+    leaving = []
+    for d in product((0, 1), repeat=3):  # subdimension vectors (d0, d1, dinf)
+        if sum(d) in (0, 3):
+            continue
+        slope = sum((Fraction(w) for w, x in zip(weights, d) if x), Fraction(0)) / sum(d)
+        if slope >= total_slope:
+            leaving.append(sum(
+                1 << k
+                for k, (_, src, tgt) in enumerate(_FRAMED.arrows)
+                if d[slot[src]] and not d[slot[tgt]]
+            ))
+    return tuple(all(mask & out for out in leaving) for mask in range(32))
 
 
 def is_theta_stable(rep: FramedRep, theta: StabilityParameter) -> bool:
-    """King stability at dimension vector (1, 1, 1).
-
-    A subrepresentation supported on a pattern (d0, d1, dinf) exists
-    exactly when every arrow out of a fully kept vertex with a nonzero
-    scalar lands in a fully kept vertex; stability requires every such
-    proper pattern to have slope strictly below the total slope.
-    """
-    values = rep.scalars()
-    weights = theta.as_tuple()
-    total_slope = sum(weights, Fraction(0)) / 3
-    for pattern in _subrep_patterns():
-        realized = True
-        for label, src, tgt in _FRAMED_ARROWS:
-            if pattern[src] == 1 and pattern[tgt] == 0 and values[label]:
-                realized = False
-                break
-        if not realized:
-            continue
-        dim = sum(pattern)
-        slope = sum(
-            (Fraction(w) for w, d in zip(weights, pattern) if d), Fraction(0)
-        ) / dim
-        if slope >= total_slope:
-            return False
-    return True
+    """King stability at dimension (1, 1, 1), looked up by zero pattern."""
+    mask = 0
+    for label, bit in _BIT.items():
+        if getattr(rep, label).value:
+            mask |= bit
+    return theta._stable_patterns[mask]
 
 
 def count_points(potential: CyclicPotential, theta: StabilityParameter, p: int) -> int:
@@ -169,19 +216,41 @@ def count_points(potential: CyclicPotential, theta: StabilityParameter, p: int) 
 
     Requires the stability to force a nonzero framing scalar (as the
     default (-1, -1, 2) does); the count fixes i = 1 and divides by the
-    order of the remaining free torus factor.
+    order of the remaining free torus factor.  Primes above
+    ``MAX_COUNT_PRIME`` are refused, since the cost grows as p^4.
     """
     if potential.quiver != conifold_quiver():
         raise DomainError("counting is defined for conifold potentials")
-    relations = _compiled_relations(potential, p)
+    _check_count_bound(p)
+    relations = _commuting_relations(potential, p)
 
     # The gauge below assumes stability forces i != 0 and (a1, a2) != (0, 0).
-    # Stability only depends on the zero pattern of the scalars, so sweeping
-    # all 32 patterns verifies that assumption completely for this theta.
-    for bits in product((0, 1), repeat=5):
-        stable = is_theta_stable(FramedRep.from_ints(p, *bits), theta)
-        if stable and (bits[4] == 0 or (bits[0] == 0 and bits[1] == 0)):
-            raise DomainError("stability parameter is outside the framed chamber")
+    # Stability only depends on the zero pattern, so the table settles that
+    # assumption completely for this theta.
+    a1_bit, a2_bit, b1_bit, b2_bit, i_bit = (_BIT[x] for x in ARROW_ORDER + ("i",))
+    stable = theta._stable_patterns
+    if any(s and not (mask & i_bit and mask & (a1_bit | a2_bit)) for mask, s in enumerate(stable)):
+        raise DomainError("stability parameter is outside the framed chamber")
+
+    # the coefficient of each (b1, b2) monomial of each relation, as terms
+    # (a1 exponent, a2 exponent, coeff): every relation vanishes on an
+    # (a1, a2) slice exactly when all of these do
+    b_coefficients = []
+    for relation in relations:
+        by_b: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
+        for (e1, e2, e3, e4), c in relation.items():
+            by_b.setdefault((e3, e4), []).append((e1, e2, c))
+        b_coefficients.extend(by_b.values())
+    # the stable points of an (a1, a2) slice on which every relation
+    # vanishes, by the zero pattern of the slice
+    whole_slice = [
+        sum(
+            (p - 1) ** (nz1 + nz2)
+            for nz1, nz2 in product((0, 1), repeat=2)
+            if stable[mask | nz1 * b1_bit | nz2 * b2_bit]
+        )
+        for mask in range(32)
+    ]
 
     raw = 0
     rng = range(p)
@@ -189,23 +258,17 @@ def count_points(potential: CyclicPotential, theta: StabilityParameter, p: int) 
         for a2 in rng:
             if a1 == 0 and a2 == 0:
                 continue
+            a_mask = (a1_bit if a1 else 0) | (a2_bit if a2 else 0) | i_bit
+            if all(
+                sum(c * a1 ** e1 * a2 ** e2 for e1, e2, c in terms) % p == 0
+                for terms in b_coefficients
+            ):
+                raw += whole_slice[a_mask]
+                continue
             for b1 in rng:
                 for b2 in rng:
-                    values = {"a1": a1, "a2": a2, "b1": b1, "b2": b2, "i": 1}
-                    ok = True
-                    for relation in relations:
-                        total = 0
-                        for coeff, word in relation:
-                            term = coeff
-                            for label in word:
-                                term = term * values[label] % p
-                            total = (total + term) % p
-                        if total != 0:
-                            ok = False
-                            break
-                    if ok and is_theta_stable(
-                        FramedRep.from_ints(p, a1, a2, b1, b2, 1), theta
-                    ):
+                    mask = a_mask | (b1_bit if b1 else 0) | (b2_bit if b2 else 0)
+                    if stable[mask] and _relations_hold(relations, (a1, a2, b1, b2), p):
                         raw += 1
     if raw % (p - 1) != 0:
         raise DomainError(
@@ -312,6 +375,7 @@ def counting_report(
     if len(ps) < 4:
         raise DomainError("need at least four primes for a degree-3 fit")
     for p in ps:
+        _check_count_bound(p)
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
 

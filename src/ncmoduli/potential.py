@@ -52,7 +52,7 @@ class SymmetricPotentialMatrix:
     def __init__(self, rows: Sequence[Sequence[Fraction]]):
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise SchemaError("expected a 4x4 matrix")
-        n = tuple(tuple(Fraction(v) for v in row) for row in rows)
+        n = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows)
         for r in range(4):
             for c in range(r):
                 if n[r][c] != n[c][r]:
@@ -121,18 +121,27 @@ def potential_to_sym_matrix(potential: CyclicPotential) -> SymmetricPotentialMat
     return SymmetricPotentialMatrix(acc)
 
 
+# _WORDS[r][c]: the cyclic word a_i b_j a_k b_l of entry (r, c), with
+# (i, j) and (k, l) the pairs of r and c, in its canonical rotation.  The
+# words of (r, c) and (c, r) are rotations of one another, so both entries
+# hold one tuple, and every potential shares these tuples.
+_A, _B = ("a1", "a2"), ("b1", "b2")
+_WORDS = tuple(
+    tuple(min((_A[i], _B[j], _A[k], _B[l]), (_A[k], _B[l], _A[i], _B[j])) for k, l in PAIR_INDEX)
+    for i, j in PAIR_INDEX
+)
+
+
 def sym_matrix_to_potential(n: SymmetricPotentialMatrix) -> CyclicPotential:
     """The quartic potential whose coefficient matrix is n."""
     terms: Dict[Tuple[str, ...], Fraction] = {}
-    for r, (i, j) in enumerate(PAIR_INDEX):
-        for c, (k, l) in enumerate(PAIR_INDEX):
+    for r in range(4):
+        for c in range(4):
             v = n[r, c]
             if v == 0:
                 continue
-            word = (f"a{i + 1}", f"b{j + 1}", f"a{k + 1}", f"b{l + 1}")
-            terms[word] = terms.get(word, Fraction(0)) + v
-    # the words coming from (r, c) and (c, r) are rotations of one another,
-    # so the constructor merges them and the round trip stays exact
+            word = _WORDS[r][c]
+            terms[word] = terms[word] + v if word in terms else v
     return CyclicPotential(conifold_quiver(), terms)
 
 

@@ -83,18 +83,25 @@ class Quiver:
         )
 
 
+_CONIFOLD = Quiver(
+    name="conifold",
+    vertices=("v0", "v1"),
+    arrows=(
+        ("a1", "v0", "v1"),
+        ("a2", "v0", "v1"),
+        ("b1", "v1", "v0"),
+        ("b2", "v1", "v0"),
+    ),
+)
+
+
 def conifold_quiver() -> Quiver:
-    """Two vertices, arrows a1, a2 one way and b1, b2 back."""
-    return Quiver(
-        name="conifold",
-        vertices=("v0", "v1"),
-        arrows=(
-            ("a1", "v0", "v1"),
-            ("a2", "v0", "v1"),
-            ("b1", "v1", "v0"),
-            ("b2", "v1", "v0"),
-        ),
-    )
+    """Two vertices, arrows a1, a2 one way and b1, b2 back.
+
+    Every call returns the same frozen instance, so the many potentials
+    built on it do not each carry a quiver of their own.
+    """
+    return _CONIFOLD
 
 
 def double_cover_quiver() -> Quiver:
@@ -264,11 +271,12 @@ class CyclicPotential:
         for word, coeff in dict(terms).items():
             word = tuple(word)
             _check_cyclic_word(quiver, word)
-            c = Fraction(coeff)
+            # Fractions are immutable, so a Fraction coefficient is kept as given
+            c = coeff if type(coeff) is Fraction else Fraction(coeff)
             if c == 0:
                 continue
             key = _canonical_rotation(word)
-            merged = clean.get(key, Fraction(0)) + c
+            merged = clean[key] + c if key in clean else c
             if merged == 0:
                 clean.pop(key, None)
             else:

@@ -296,3 +296,71 @@ def test_golden_outputs(tmp_path, capsys):
         code, out = _run(capsys, command + ["-i", src])
         assert code == 0
         assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n", command
+
+
+def test_dt_count_prime_bound_exits_3(tmp_path, capsys):
+    from ncmoduli.dtcount import MAX_COUNT_PRIME
+    from ncmoduli.exact import is_prime
+
+    larger = next(q for q in range(MAX_COUNT_PRIME + 1, 2 * MAX_COUNT_PRIME) if is_prime(q))
+    src = _write(tmp_path, "phi.json", CLASSICAL)
+    code = main(["dt-count", "--potential", src, "--primes", f"2,3,5,7,{larger}"])
+    assert code == 3
+    assert "exceeds the configured bound" in capsys.readouterr().err
+
+
+# dt-count documents printed for a diagonal deformed and a dense random
+# potential before the counting kernel was rewritten.  Both exclude 2 and
+# 3; the dense one has a 1/3 coefficient, so 3 has no count at all.
+GOLDEN_DT_COUNT_CASES = [
+    (
+        [
+            {"cycle": ["a1", "b1", "a1", "b1"], "coeff": "1"},
+            {"cycle": ["a1", "b2", "a1", "b2"], "coeff": "-1"},
+            {"cycle": ["a2", "b1", "a2", "b1"], "coeff": "3"},
+            {"cycle": ["a2", "b2", "a2", "b2"], "coeff": "1/2"},
+        ],
+        {
+            "counts": {"11": 12, "13": 14, "2": 8, "3": 6, "5": 6, "7": 32},
+            "euler_characteristic": "-238",
+            "excluded": [2, 3],
+            "matches_classical": False,
+            "note": "cubic fit consistent across included primes",
+            "polynomial": ["-713/2", "265/2", "-29/2", "1/2"],
+            "primes": [2, 3, 5, 7, 11, 13],
+            "theta": ["-1", "-1", "2"],
+        },
+    ),
+    (
+        [
+            {"cycle": ["a1", "b1", "a1", "b1"], "coeff": "1"},
+            {"cycle": ["a1", "b1", "a1", "b2"], "coeff": "4"},
+            {"cycle": ["a1", "b1", "a2", "b1"], "coeff": "-2"},
+            {"cycle": ["a1", "b1", "a2", "b2"], "coeff": "6"},
+            {"cycle": ["a1", "b2", "a1", "b2"], "coeff": "-2"},
+            {"cycle": ["a1", "b2", "a2", "b1"], "coeff": "2"},
+            {"cycle": ["a1", "b2", "a2", "b2"], "coeff": "2/3"},
+            {"cycle": ["a2", "b1", "a2", "b1"], "coeff": "4"},
+            {"cycle": ["a2", "b1", "a2", "b2"], "coeff": "-2"},
+            {"cycle": ["a2", "b2", "a2", "b2"], "coeff": "1"},
+        ],
+        {
+            "counts": {"11": 12, "13": 14, "2": 12, "5": 6, "7": 8},
+            "euler_characteristic": "2",
+            "excluded": [2, 3],
+            "matches_classical": False,
+            "note": "cubic fit consistent across included primes",
+            "polynomial": ["1", "1", "0", "0"],
+            "primes": [2, 3, 5, 7, 11, 13],
+            "theta": ["-1", "-1", "2"],
+        },
+    ),
+]
+
+
+def test_golden_dt_count_outputs(tmp_path, capsys):
+    for k, (doc, expected) in enumerate(GOLDEN_DT_COUNT_CASES):
+        src = _write(tmp_path, f"golden_dt{k}.json", doc)
+        code, out = _run(capsys, ["dt-count", "--potential", src, "--primes", "2,3,5,7,11,13"])
+        assert code == 0
+        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"

@@ -2,11 +2,14 @@
 
 from fractions import Fraction
 from itertools import product
+from random import Random
 
 import pytest
 
 from ncmoduli.errors import DomainError
+from ncmoduli.exact import is_prime
 from ncmoduli.dtcount import (
+    MAX_COUNT_PRIME,
     CountReport,
     FramedRep,
     StabilityParameter,
@@ -17,7 +20,12 @@ from ncmoduli.dtcount import (
     satisfies_relations,
 )
 from ncmoduli.potential import SymmetricPotentialMatrix, sym_matrix_to_potential
-from ncmoduli.quiver import CyclicPotential, conifold_potential, conifold_quiver
+from ncmoduli.quiver import (
+    CyclicPotential,
+    conifold_potential,
+    conifold_quiver,
+    jacobi_generators,
+)
 
 
 def _diagonal_potential(*values):
@@ -194,3 +202,163 @@ def test_report_json_shape():
     assert blob["euler_characteristic"] == "2"
     assert blob["matches_classical"] is True
     assert isinstance(report, CountReport)
+
+
+# -- reference: a brute force over every gauge-fixed point ---------------
+
+# (label, source, target) of the framed conifold quiver, vertices (v0, v1, vinf)
+REFERENCE_ARROWS = (
+    ("a1", 0, 1), ("a2", 0, 1), ("b1", 1, 0), ("b2", 1, 0), ("i", 2, 0),
+)
+REFERENCE_THETAS = ((-1, -1, 2), (-2, -1, 3))
+
+
+def _reference_stable(scalars, theta):
+    """King stability from the slope definition at dimension (1, 1, 1).
+
+    ``scalars`` maps each framed arrow label to its value; a subdimension
+    vector d carries a subrepresentation when no arrow with a nonzero
+    scalar leaves a vertex of d for one outside it.
+    """
+    weights = [Fraction(w) for w in theta]
+    total = sum(weights) / 3
+    for d in product((0, 1), repeat=3):
+        if sum(d) in (0, 3):
+            continue
+        closed = all(
+            not (d[src] and not d[tgt] and scalars[label])
+            for label, src, tgt in REFERENCE_ARROWS
+        )
+        if closed and sum(w for w, x in zip(weights, d) if x) / sum(d) >= total:
+            return False
+    return True
+
+
+def _reference_count(potential, theta, p):
+    """Count by multiplying out every word of every Jacobi generator.
+
+    Returns None when some coefficient has no value mod p.
+    """
+    relations = []
+    for gen in jacobi_generators(potential):
+        terms = []
+        for path, coeff in gen.items():
+            frac = coeff.as_fraction()
+            if frac.denominator % p == 0:
+                return None
+            terms.append((frac.numerator * pow(frac.denominator, -1, p), path.arrows))
+        relations.append(terms)
+    raw = 0
+    for a1, a2, b1, b2 in product(range(p), repeat=4):
+        scalars = {"a1": a1, "a2": a2, "b1": b1, "b2": b2, "i": 1}
+        if not _reference_stable(scalars, theta):
+            continue
+        holds = True
+        for terms in relations:
+            total = 0
+            for coeff, word in terms:
+                for label in word:
+                    coeff *= scalars[label]
+                total += coeff
+            holds = holds and total % p == 0
+        raw += holds
+    assert raw % (p - 1) == 0
+    return raw // (p - 1)
+
+
+def _reference_potentials():
+    rng = Random(11)
+    quiver = conifold_quiver()
+
+    def entry():
+        return Fraction(rng.choice((1, -1, 2, -3, 4, 5, 7)), rng.choice((1, 1, 1, 2, 3)))
+
+    def symmetric(fill):
+        rows = [[Fraction(0)] * 4 for _ in range(4)]
+        for r in range(4):
+            for c in range(r, 4):
+                rows[r][c] = rows[c][r] = fill(r, c)
+        return sym_matrix_to_potential(SymmetricPotentialMatrix(rows))
+
+    def alternating(pairs):
+        return tuple(x for _ in range(pairs) for x in (rng.choice(("a1", "a2")), rng.choice(("b1", "b2"))))
+
+    out = [symmetric(lambda r, c: entry()) for _ in range(2)]
+    out.append(symmetric(lambda r, c: Fraction(0)))
+    v = (1, -2, 0, 3)
+    out.append(symmetric(lambda r, c: Fraction(3, 2) * v[r] * v[c]))
+    u = (0, 1, 1, -1)
+    out.append(symmetric(lambda r, c: v[r] * v[c] - Fraction(2, 5) * u[r] * u[c]))
+    out.append(conifold_potential().scale(Fraction(-3, 2)))
+    for _ in range(2):
+        terms = {alternating(1): entry() for _ in range(2)}
+        terms.update({alternating(2): entry() for _ in range(3)})
+        out.append(CyclicPotential(quiver, terms))
+    out.append(CyclicPotential(quiver, {alternating(3): entry() for _ in range(3)}))
+    out.append(CyclicPotential(quiver, {("a1", "b2") * 3: Fraction(1, 3), ("a2", "b1", "a1", "b1"): 1}))
+    return out
+
+
+def test_count_points_matches_reference_brute_force():
+    for potential in _reference_potentials():
+        for theta in REFERENCE_THETAS:
+            stability = StabilityParameter.from_values(theta)
+            for p in (2, 3, 5, 7):
+                want = _reference_count(potential, theta, p)
+                if want is None:
+                    with pytest.raises(DomainError):
+                        count_points(potential, stability, p)
+                else:
+                    assert count_points(potential, stability, p) == want, (potential, theta, p)
+
+
+def test_satisfies_relations_matches_reference_words():
+    rng = Random(5)
+    for potential in _reference_potentials():
+        for p in (3, 5):
+            coeffs = [c.as_fraction() for gen in jacobi_generators(potential) for _, c in gen.items()]
+            defined = all(c.denominator % p for c in coeffs)
+            for _ in range(40):
+                values = tuple(rng.randrange(p) for _ in range(5))
+                rep = FramedRep.from_ints(p, *values)
+                if not defined:
+                    with pytest.raises(DomainError):
+                        satisfies_relations(rep, potential)
+                    continue
+                scalars = dict(zip(("a1", "a2", "b1", "b2", "i"), values))
+                want = True
+                for gen in jacobi_generators(potential):
+                    total = 0
+                    for path, coeff in gen.items():
+                        frac = coeff.as_fraction()
+                        term = frac.numerator * pow(frac.denominator, -1, p)
+                        for label in path.arrows:
+                            term *= scalars[label]
+                        total += term
+                    want = want and total % p == 0
+                assert satisfies_relations(rep, potential) == want
+
+
+def test_stability_table_matches_slope_rule():
+    # (-1, 1, 0) and (0, 0, 0) put some subpattern exactly at the total slope
+    others = ((-3, 1, 2), (1, 1, -2), (-1, 1, 0), (0, 0, 0), (Fraction(-1, 2), Fraction(-3, 2), 2))
+    for theta in REFERENCE_THETAS + others:
+        stability = StabilityParameter.from_values(theta)
+        for bits in product((0, 1), repeat=5):
+            scalars = dict(zip(("a1", "a2", "b1", "b2", "i"), bits))
+            rep = FramedRep.from_ints(2, *bits)
+            assert is_theta_stable(rep, stability) == _reference_stable(scalars, theta), (theta, bits)
+
+
+def test_count_bound_refuses_large_primes():
+    phi = conifold_potential()
+    theta = default_stability()
+    assert is_prime(MAX_COUNT_PRIME)
+    assert count_points(_diagonal_potential(1, 2, 3, 5), theta, MAX_COUNT_PRIME) >= 0
+    larger = next(q for q in range(MAX_COUNT_PRIME + 1, 2 * MAX_COUNT_PRIME) if is_prime(q))
+    with pytest.raises(DomainError, match="exceeds the configured bound"):
+        count_points(phi, theta, larger)
+    # the report refuses before it counts anything, also at an excluded prime
+    deformed = _diagonal_potential(1, 2, 3, larger)
+    with pytest.raises(DomainError, match="exceeds the configured bound"):
+        counting_report(deformed, theta, (2, 3, 5, 7, larger))

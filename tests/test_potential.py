@@ -69,6 +69,19 @@ def test_potential_roundtrip_through_matrix():
         assert back == phi
 
 
+def test_potentials_share_quiver_and_words():
+    # the counts benchmark keeps every potential it builds, so each one
+    # should own only its coefficients
+    rng = Random(52)
+    first, second = (sym_matrix_to_potential(_random_symmetric(rng)) for _ in range(2))
+    assert first.quiver is conifold_quiver() and second.quiver is conifold_quiver()
+    common = set(first.terms) & set(second.terms)
+    assert common
+    words = {word: word for word in second.terms}
+    for word in common:
+        assert words[word] is word
+
+
 def test_diagonal_matrix_encodes_square_words():
     n = SymmetricPotentialMatrix.diagonal(
         (Fraction(2), Fraction(3), Fraction(5), Fraction(7))
