@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from .acceptance import DEFAULT_SEED, run_acceptance
 from .dtcount import StabilityParameter, counting_report
@@ -22,7 +22,6 @@ from .elliptic import (
     EllPoint,
     LambdaPair,
     is_admissible,
-    make_configuration,
     on_curve,
     orbit_equivalent,
 )
@@ -88,7 +87,13 @@ def potential_from_json(doc) -> CyclicPotential:
     return CyclicPotential(quiver, terms)
 
 
-def _configuration_from_json(doc) -> EllipticConfiguration:
+def _configuration_parts(doc) -> Tuple[LambdaPair, EllPoint, EllPoint]:
+    """The parameter and both points of a configuration document.
+
+    The whole document is read before any value is checked, so a malformed
+    document is a ``SchemaError`` even when a value in it is also out of
+    range.  Curve membership is not checked here.
+    """
     if not isinstance(doc, dict) or not {"lambda", "p1", "p2"} <= set(doc):
         raise SchemaError("configuration needs lambda, p1 and p2")
     lam = scalar_from_json(doc["lambda"])
@@ -98,7 +103,7 @@ def _configuration_from_json(doc) -> EllipticConfiguration:
         if not isinstance(coords, list) or len(coords) != 3:
             raise SchemaError(f"{key} must be a list of three scalars")
         points.append([scalar_from_json(c) for c in coords])
-    return make_configuration(lam, points[0], points[1])
+    return LambdaPair.from_affine(lam), EllPoint.make(*points[0]), EllPoint.make(*points[1])
 
 
 def _cmd_classify_quintuple(args) -> int:
@@ -168,16 +173,7 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_elliptic_check(args) -> int:
-    doc = _read_document(args.input)
-    if not isinstance(doc, dict) or not {"lambda", "p1", "p2"} <= set(doc):
-        raise SchemaError("configuration needs lambda, p1 and p2")
-    pair = LambdaPair.from_affine(scalar_from_json(doc["lambda"]))
-    points = []
-    for key in ("p1", "p2"):
-        coords = doc[key]
-        if not isinstance(coords, list) or len(coords) != 3:
-            raise SchemaError(f"{key} must be a list of three scalars")
-        points.append(EllPoint.make(*(scalar_from_json(c) for c in coords)))
+    pair, *points = _configuration_parts(_read_document(args.input))
     memberships = [on_curve(pair, pt) for pt in points]
     _write_document(
         {
@@ -195,8 +191,8 @@ def _cmd_elliptic_orbit_test(args) -> int:
     doc = _read_document(args.input)
     if not isinstance(doc, dict) or not {"first", "second"} <= set(doc):
         raise SchemaError("orbit test needs first and second configurations")
-    first = _configuration_from_json(doc["first"])
-    second = _configuration_from_json(doc["second"])
+    first = EllipticConfiguration(*_configuration_parts(doc["first"]))
+    second = EllipticConfiguration(*_configuration_parts(doc["second"]))
     equivalent, witness = orbit_equivalent(
         first, second, include_involution=args.include_involution
     )

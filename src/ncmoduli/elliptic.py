@@ -13,6 +13,15 @@ carried as a pair (l0, l1) internally: membership in the curve is then
 preserved on the nose, without choosing square roots.  Public
 constructors normalize l1 = 1.
 
+Curve membership is checked where a configuration enters the library:
+the ``EllipticConfiguration`` constructor, ``make_configuration`` and
+``random_configuration``.  The transforms ``apply_symmetry`` and
+``apply_group_element`` build their images without the check, because
+each generator maps the curve over a parameter onto the curve over the
+image parameter; ``verify_equation_preservation`` proves this as a
+polynomial identity.  An orbit search builds up to 192 images, and
+checking each of them would about double its cost.
+
 Equality of points is literal field equality after a canonical
 projective normalization, so orbit search is an exact finite
 enumeration.
@@ -41,8 +50,12 @@ LAMBDA_WORDS: Tuple[Tuple[str, ...], ...] = (
     ("swap", "complement", "swap"),
 )
 
+# Shared coordinates 0 and 1 of normalized points and public parameters.
+_ZERO = GaussianRational(0)
+_ONE = GaussianRational(1)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class LambdaPair:
     """The pencil parameter as a homogeneous pair (l0 : l1)."""
 
@@ -60,14 +73,14 @@ class LambdaPair:
 
     @classmethod
     def from_affine(cls, value: ScalarLike) -> "LambdaPair":
-        return cls(GaussianRational.coerce(value), GaussianRational(1))
+        return cls(GaussianRational.coerce(value), _ONE)
 
     @property
     def affine(self) -> GaussianRational:
         return self.l0 / self.l1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EllPoint:
     """A curve point (X : Y : Z), weight (1, 1, 2), canonically normalized."""
 
@@ -83,13 +96,13 @@ class EllPoint:
         gz = GaussianRational.coerce(z)
         if not gx.is_zero():
             inv = gx.inverse()
-            return cls(GaussianRational(1), inv * gy, inv * inv * gz)
+            return cls(_ONE, inv * gy, inv * inv * gz)
         if not gy.is_zero():
             inv = gy.inverse()
-            return cls(GaussianRational(0), GaussianRational(1), inv * inv * gz)
+            return cls(_ZERO, _ONE, inv * inv * gz)
         if gz.is_zero():
             raise DomainError("(0 : 0 : 0) is not a point")
-        return cls(GaussianRational(0), GaussianRational(0), GaussianRational(1))
+        return cls(_ZERO, _ZERO, _ONE)
 
     def flipped(self) -> "EllPoint":
         """The hyperelliptic involution Z -> -Z."""
@@ -151,13 +164,14 @@ def symmetry_point(lam: LambdaPair, pt: EllPoint, which: str) -> EllPoint:
     raise DomainError(f"unknown parameter symmetry {which!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EllipticConfiguration:
     """A parameter together with an ordered pair of curve points.
 
-    Membership is enforced on construction; every transform in this
-    module preserves it exactly, so configurations stay valid throughout
-    an orbit search.
+    The constructor raises ``DomainError`` when a point is off the curve.
+    The transforms in this module preserve membership exactly (see
+    ``verify_equation_preservation``), so they build their images with
+    ``_image_configuration`` and skip the check.
     """
 
     lam: LambdaPair
@@ -168,6 +182,19 @@ class EllipticConfiguration:
         for label, pt in (("first", self.p1), ("second", self.p2)):
             if not on_curve(self.lam, pt):
                 raise DomainError(f"{label} point does not lie on the curve")
+
+
+def _image_configuration(lam: LambdaPair, p1: EllPoint, p2: EllPoint) -> EllipticConfiguration:
+    """A configuration built without the membership check.
+
+    Only for the image of a configuration under the transforms of this
+    module, which map curve points to curve points.
+    """
+    cfg = object.__new__(EllipticConfiguration)
+    object.__setattr__(cfg, "lam", lam)
+    object.__setattr__(cfg, "p1", p1)
+    object.__setattr__(cfg, "p2", p2)
+    return cfg
 
 
 def make_configuration(
@@ -186,7 +213,7 @@ def is_admissible(cfg: EllipticConfiguration) -> bool:
 
 
 def apply_symmetry(cfg: EllipticConfiguration, which: str) -> EllipticConfiguration:
-    return EllipticConfiguration(
+    return _image_configuration(
         symmetry_pair(cfg.lam, which),
         symmetry_point(cfg.lam, cfg.p1, which),
         symmetry_point(cfg.lam, cfg.p2, which),
@@ -209,7 +236,7 @@ def apply_group_element(
     if flip:
         p1 = p1.flipped()
         p2 = p2.flipped()
-    return EllipticConfiguration(out.lam, p1, p2)
+    return _image_configuration(out.lam, p1, p2)
 
 
 def orbit_equivalent(
@@ -247,11 +274,6 @@ def orbit_equivalent(
 
 
 # -- exact fixtures ----------------------------------------------------
-
-
-def point_on_affine_curve(lam: GaussianRational, x: GaussianRational, y: GaussianRational) -> bool:
-    """Membership on the affine chart Y = 1: y^2 = x (x - 1) (x - lambda)."""
-    return y * y == x * (x - 1) * (x - lam)
 
 
 def _chord_tangent(
@@ -324,7 +346,7 @@ def random_configuration(rng: Random) -> EllipticConfiguration:
         p2 = point_multiple(glam, p1, rng.choice((2, 3)))
         if p2 is None or p2.z.is_zero() or p2 == p1:
             continue
-        return EllipticConfiguration(LambdaPair.from_affine(lam), p1, p2)
+        return EllipticConfiguration(LambdaPair(glam, _ONE), p1, p2)
 
 
 # -- symbolic equation preservation ------------------------------------

@@ -181,6 +181,44 @@ def test_elliptic_orbit_test_negative(tmp_path, capsys):
     assert doc["witness"] is None
 
 
+ORBIT_BASE = {"lambda": "-3", "p1": ["-1", "1", "2"], "p2": ["1", "-1", "-2"]}
+
+# (configuration, exit code, stderr); both elliptic commands parse a
+# configuration the same way, and read the whole document before checking
+# any value in it
+CONFIGURATION_ERRORS = [
+    ({"lambda": "-3", "p1": ["-1", "1", "2"]}, 2, "input error: configuration needs lambda, p1 and p2"),
+    (dict(ORBIT_BASE, p1=["-1", "1"]), 2, "input error: p1 must be a list of three scalars"),
+    (dict(ORBIT_BASE, p2="x"), 2, "input error: p2 must be a list of three scalars"),
+    (dict(ORBIT_BASE, p1=["-1", "1", "2/0"]), 2, "input error: bad rational literal '2/0'"),
+    (
+        dict(ORBIT_BASE, **{"lambda": "1"}),
+        3,
+        "domain error: degenerate pencil parameter (1 : 1); the affine value must avoid 0, 1 and infinity",
+    ),
+    (dict(ORBIT_BASE, p2=["0", "0", "0"]), 3, "domain error: (0 : 0 : 0) is not a point"),
+    (dict(ORBIT_BASE, **{"lambda": "0"}, p1=["1", "2"]), 2, "input error: p1 must be a list of three scalars"),
+]
+
+
+def test_elliptic_configuration_errors(tmp_path, capsys):
+    for k, (cfg, code, message) in enumerate(CONFIGURATION_ERRORS):
+        check = _write(tmp_path, f"check{k}.json", cfg)
+        orbit = _write(tmp_path, f"orbit{k}.json", {"first": ORBIT_BASE, "second": cfg})
+        for argv in (["elliptic", "check", "-i", check], ["elliptic", "orbit-test", "-i", orbit]):
+            assert main(argv) == code, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == message + "\n", argv
+
+
+def test_elliptic_orbit_test_refuses_off_curve_points(tmp_path, capsys):
+    off = dict(ORBIT_BASE, p2=["1", "-1", "5"])
+    src = _write(tmp_path, "pair.json", {"first": off, "second": ORBIT_BASE})
+    assert main(["elliptic", "orbit-test", "-i", src]) == 3
+    assert capsys.readouterr().err == "domain error: second point does not lie on the curve\n"
+
+
 def test_acceptance_json_mode(tmp_path, capsys):
     out_path = tmp_path / "acceptance.json"
     code = main(["--samples", "5", "acceptance", "--json", "-o", str(out_path)])
@@ -286,6 +324,16 @@ GOLDEN_CASES = [
             "p1_on_curve": True,
             "p2_on_curve": True,
         },
+    ),
+    (
+        ["elliptic", "check"],
+        {"lambda": "-3", "p1": ["-1", "1", "3"], "p2": ["1", "-1", "-2"]},
+        {"admissible": True, "lambda": "-3", "p1_on_curve": False, "p2_on_curve": True},
+    ),
+    (
+        ["elliptic", "check"],
+        {"lambda": "-3", "p1": ["-1", "1", "2"], "p2": ["1", "-1", "5"]},
+        {"admissible": False, "lambda": "-3", "p1_on_curve": True, "p2_on_curve": False},
     ),
 ]
 

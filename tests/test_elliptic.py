@@ -1,6 +1,7 @@
 """Curve membership, transforms, and the orbit decision procedure."""
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
@@ -23,10 +24,13 @@ from ncmoduli.elliptic import (
     random_configuration,
     random_curve_point,
     symmetry_pair,
+    symmetry_point,
     translate,
     two_torsion_points,
     verify_equation_preservation,
 )
+
+TRANSLATIONS = (None, "t1", "t2", "t3")
 
 
 def test_symbolic_equation_preservation():
@@ -98,13 +102,21 @@ def test_translation_images_of_the_origin():
 
 
 def test_symmetries_preserve_membership_with_pairs():
+    # the transforms build their images without the membership check, so
+    # check every image of the 192-element sweep here
     rng = Random(63)
-    for _ in range(15):
+    for k in range(15):
         cfg = random_configuration(rng)
         for which in ("swap", "complement"):
             out = apply_symmetry(cfg, which)
             assert on_curve(out.lam, out.p1)
             assert on_curve(out.lam, out.p2)
+        if k % 3:
+            continue
+        for word, tr1, tr2, flip in product(LAMBDA_WORDS, TRANSLATIONS, TRANSLATIONS, (False, True)):
+            out = apply_group_element(cfg, word, tr1, tr2, flip)
+            assert on_curve(out.lam, out.p1), (word, tr1, tr2, flip)
+            assert on_curve(out.lam, out.p2), (word, tr1, tr2, flip)
     pair = LambdaPair.from_affine(Fraction(3, 4))
     assert symmetry_pair(pair, "swap") == LambdaPair(GaussianRational(1), GaussianRational(Fraction(3, 4)))
     assert symmetry_pair(pair, "complement") == LambdaPair(
@@ -124,6 +136,11 @@ def test_double_complement_is_the_flip():
 def test_configuration_validation():
     with pytest.raises(DomainError):
         make_configuration(Fraction(2), (1, 1, 1), (1, 0, 0))
+    pair = LambdaPair.from_affine(Fraction(2))
+    with pytest.raises(DomainError, match="first point"):
+        EllipticConfiguration(pair, EllPoint.make(1, 1, 1), EllPoint.make(1, 0, 0))
+    with pytest.raises(DomainError, match="second point"):
+        EllipticConfiguration(pair, EllPoint.make(1, 0, 0), EllPoint.make(1, 1, 1))
     cfg = make_configuration(Fraction(2), (1, 0, 0), (0, 1, 0))
     assert not is_admissible(cfg)  # second point is 2-torsion
     with pytest.raises(DomainError):
@@ -277,3 +294,60 @@ def test_orbit_asymmetry_for_mixed_translations():
     fwd, _ = orbit_equivalent(cfg, image, include_involution=True)
     bwd, _ = orbit_equivalent(image, cfg, include_involution=True)
     assert fwd and not bwd
+
+
+def _reference_group_element(cfg, word, tr1, tr2, flip):
+    """``apply_group_element`` with every step built by the checked constructor."""
+    out = cfg
+    for step in word:
+        out = EllipticConfiguration(
+            symmetry_pair(out.lam, step),
+            symmetry_point(out.lam, out.p1, step),
+            symmetry_point(out.lam, out.p2, step),
+        )
+    p1 = translate(out.lam, out.p1, tr1) if tr1 else out.p1
+    p2 = translate(out.lam, out.p2, tr2) if tr2 else out.p2
+    if flip:
+        p1, p2 = p1.flipped(), p2.flipped()
+    return EllipticConfiguration(out.lam, p1, p2)
+
+
+def _reference_orbit_equivalent(first, second, include_involution=False):
+    """The exhaustive search in its documented order (word, tr1, tr2, flip)."""
+    for cfg in (first, second):
+        if not is_admissible(cfg):
+            raise DomainError("orbit comparison needs admissible configurations")
+    flips = (False, True) if include_involution else (False,)
+    for word, tr1, tr2, flip in product(LAMBDA_WORDS, TRANSLATIONS, TRANSLATIONS, flips):
+        if _reference_group_element(first, word, tr1, tr2, flip) == second:
+            witness = {
+                "lambda_word": list(word),
+                "translate_first": tr1,
+                "translate_second": tr2,
+                "flip": flip,
+            }
+            return True, witness
+    return False, None
+
+
+def test_orbit_search_matches_the_checked_reference():
+    rng = Random(72)
+    pairs = []
+    for k in range(30):
+        # positives from every word, each word flipped and not flipped
+        cfg = random_configuration(rng)
+        element = (LAMBDA_WORDS[k % 6], rng.choice(TRANSLATIONS), rng.choice(TRANSLATIONS), k // 6 % 2 == 1)
+        pairs.append((cfg, apply_group_element(cfg, *element)))
+    for _ in range(6):
+        pairs.append((random_configuration(rng), random_configuration(rng)))
+    for _ in range(4):
+        # same parameter and first point, second point flipped alone
+        cfg = random_configuration(rng)
+        pairs.append((cfg, EllipticConfiguration(cfg.lam, cfg.p1, cfg.p2.flipped())))
+    found = 0
+    for first, second in pairs:
+        for include_involution in (False, True):
+            got = orbit_equivalent(first, second, include_involution)
+            assert got == _reference_orbit_equivalent(first, second, include_involution)
+            found += got[0]
+    assert 0 < found < 2 * len(pairs)
