@@ -120,17 +120,6 @@ def _random_sl2(rng: Random) -> ExactMatrix:
     return m
 
 
-def _kron2(g: ExactMatrix, h: ExactMatrix) -> ExactMatrix:
-    """Kronecker product of two 2x2 matrices in the shared pair-index order."""
-    pairs = ((0, 0), (0, 1), (1, 0), (1, 1))
-    return ExactMatrix(
-        [
-            [g[i, k] * h[j, l] for (k, l) in pairs]
-            for (i, j) in pairs
-        ]
-    )
-
-
 def criterion_1(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> CriterionResult:
     """Exact covering identities on seeded random symmetric matrices."""
     started = time.perf_counter()
@@ -395,7 +384,7 @@ def criterion_8(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> Crit
         n = _random_symmetric(rng)
         if n.is_zero():
             n = potential_to_sym_matrix(conifold_potential())
-        k = _kron2(_random_sl2(rng), _random_sl2(rng))
+        k = _random_sl2(rng).kron(_random_sl2(rng))
         moved_exact = k * n.to_exact() * k.transpose()
         moved = SymmetricPotentialMatrix(
             [[moved_exact[r, c].as_fraction() for c in range(4)] for r in range(4)]

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .exact import PrimeFieldElement, fraction_str, is_prime
-from .quiver import CyclicPotential, conifold_quiver, framed_conifold_quiver, jacobi_generators
+from .quiver import CyclicPotential, conifold_quiver, framed_conifold_quiver
 
 ARROW_ORDER = ("a1", "a2", "b1", "b2")
 
@@ -107,6 +107,24 @@ def _check_count_bound(p: int) -> None:
         )
 
 
+def _path_coefficients(potential: CyclicPotential) -> List[Tuple[Tuple[str, ...], int, Fraction]]:
+    """(word, n/d, c*n/d) for each word of the potential, c its coefficient.
+
+    A word of length n and period d is n/d of its own rotations, so every
+    path of its cyclic derivatives carries the coefficient c*n/d.  Words
+    are listed in the order in which ``jacobi_generators`` first meets
+    their paths: by leading arrow, then length, then arrows.  A stored
+    word is its least rotation, so that rotation gives its first path.
+    """
+    out = []
+    for word, coeff in potential.terms.items():
+        n = len(word)
+        repeats = n // next(d for d in range(1, n + 1) if word[d:] + word[:d] == word)
+        out.append((word, repeats, coeff * repeats))
+    out.sort(key=lambda entry: (entry[0][0], len(entry[0]), entry[0]))
+    return out
+
+
 def _commuting_relations(potential: CyclicPotential, p: int) -> List[Dict[Tuple[int, ...], int]]:
     """The Jacobi relations at dimension (1, 1, 1) as commuting polynomials mod p.
 
@@ -118,27 +136,16 @@ def _commuting_relations(potential: CyclicPotential, p: int) -> List[Dict[Tuple[
 
     Raises DomainError when p is not prime, or when a coefficient of a
     derivative path has a denominator divisible by p, since the relation
-    scheme itself degenerates there.
+    scheme itself degenerates there.  The message names the first such
+    coefficient in the order of ``jacobi_generators``, so it does not
+    depend on the order of the terms.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     relations: List[Dict[Tuple[int, ...], int]] = [{} for _ in ARROW_ORDER]
-    for word, coeff in potential.terms.items():
-        # a word of period d is len/d of its own rotations, so every path
-        # of its derivatives carries the coefficient coeff * len / d
-        n = len(word)
-        repeats = n // next(d for d in range(1, n + 1) if word[d:] + word[:d] == word)
-        path_coeff = coeff * repeats
+    for word, repeats, path_coeff in _path_coefficients(potential):
         if path_coeff.denominator % p == 0:
-            # name the first such coefficient in the order of jacobi_generators,
-            # so the message does not depend on the order of the terms
-            first = next(
-                c.as_fraction()
-                for gen in jacobi_generators(potential)
-                for _, c in gen.items()
-                if c.as_fraction().denominator % p == 0
-            )
-            raise DomainError(f"coefficient {first} is not defined in characteristic {p}")
+            raise DomainError(f"coefficient {path_coeff} is not defined in characteristic {p}")
         c = path_coeff.numerator * pow(path_coeff.denominator, -1, p) % p
         exps = tuple(word.count(x) for x in ARROW_ORDER)
         for k, relation in enumerate(relations):
@@ -348,12 +355,10 @@ def _degenerate_primes(potential: CyclicPotential, primes: Sequence[int]) -> Lis
     computed and reported when the denominators survive).
     """
     bad = set()
-    for gen in jacobi_generators(potential):
-        for _, coeff in gen.items():
-            frac = coeff.as_fraction()
-            for p in primes:
-                if frac.numerator % p == 0 or frac.denominator % p == 0:
-                    bad.add(p)
+    for _, _, coeff in _path_coefficients(potential):
+        for p in primes:
+            if coeff.numerator % p == 0 or coeff.denominator % p == 0:
+                bad.add(p)
     return sorted(bad)
 
 

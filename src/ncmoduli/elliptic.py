@@ -13,6 +13,11 @@ carried as a pair (l0, l1) internally: membership in the curve is then
 preserved on the nose, without choosing square roots.  Public
 constructors normalize l1 = 1.
 
+The five generators are written once, as a table of homogeneous
+formulas.  The transforms evaluate the table on Q(i) values, and
+``verify_equation_preservation`` evaluates the same entries on
+polynomials, so the symbolic proof covers the formulas the transforms run.
+
 Curve membership is checked where a configuration enters the library:
 the ``EllipticConfiguration`` constructor, ``make_configuration`` and
 ``random_configuration``.  The transforms ``apply_symmetry`` and
@@ -32,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .exact import GAUSSIAN_I, GaussianRational, ScalarLike
@@ -109,12 +114,13 @@ class EllPoint:
         return EllPoint(self.x, self.y, -self.z)
 
 
-def curve_rhs(lam: LambdaPair, x: GaussianRational, y: GaussianRational) -> GaussianRational:
-    return x * y * (x - y) * (lam.l1 * x - lam.l0 * y)
+def curve_rhs(l0, l1, x, y):
+    """X * Y * (X - Y) * (l1*X - l0*Y), for Q(i) values or polynomials alike."""
+    return x * y * (x - y) * (l1 * x - l0 * y)
 
 
 def on_curve(lam: LambdaPair, pt: EllPoint) -> bool:
-    return pt.z * pt.z == curve_rhs(lam, pt.x, pt.y)
+    return pt.z * pt.z == curve_rhs(lam.l0, lam.l1, pt.x, pt.y)
 
 
 def origin_point() -> EllPoint:
@@ -131,37 +137,47 @@ def two_torsion_points(lam: LambdaPair) -> Tuple[EllPoint, ...]:
     )
 
 
+# The five generators, each written once as homogeneous formulas.  A point
+# formula maps (l0, l1, X, Y, Z) to the image point (X', Y', Z'), and a
+# parameter formula maps (l0, l1) to (l0', l1'); the translations fix the
+# parameter.  The transforms below evaluate these on Q(i) values, and
+# verify_equation_preservation on polynomials.
+_TRANSLATIONS = {
+    "t1": lambda l0, l1, x, y, z: (l0 * (x - y), l1 * x - l0 * y, l0 * (l0 - l1) * z),
+    "t2": lambda l0, l1, x, y, z: (l0 * y - l1 * x, l1 * (y - x), l1 * (l0 - l1) * z),
+    "t3": lambda l0, l1, x, y, z: (l0 * y, l1 * x, l0 * l1 * z),
+}
+# name -> (parameter formula, point formula)
+_SYMMETRIES = {
+    "swap": (lambda l0, l1: (l1, l0), lambda l0, l1, x, y, z: (y, x, z)),
+    "complement": (lambda l0, l1: (l1 - l0, l1), lambda l0, l1, x, y, z: (y - x, y, GAUSSIAN_I * z)),
+}
+
+
 def translate(lam: LambdaPair, pt: EllPoint, which: str) -> EllPoint:
     """Translation by one of the three nontrivial 2-torsion points.
 
     Each is an exact involution of the curve over its own parameter; the
     parameter itself is unchanged.
     """
-    l0, l1 = lam.l0, lam.l1
-    x, y, z = pt.x, pt.y, pt.z
-    if which == "t1":
-        return EllPoint.make(l0 * (x - y), l1 * x - l0 * y, l0 * (l0 - l1) * z)
-    if which == "t2":
-        return EllPoint.make(l0 * y - l1 * x, l1 * (y - x), l1 * (l0 - l1) * z)
-    if which == "t3":
-        return EllPoint.make(l0 * y, l1 * x, l0 * l1 * z)
-    raise DomainError(f"unknown translation {which!r}")
+    formula = _TRANSLATIONS.get(which)
+    if formula is None:
+        raise DomainError(f"unknown translation {which!r}")
+    return EllPoint.make(*formula(lam.l0, lam.l1, pt.x, pt.y, pt.z))
 
 
 def symmetry_pair(lam: LambdaPair, which: str) -> LambdaPair:
-    if which == "swap":
-        return LambdaPair(lam.l1, lam.l0)
-    if which == "complement":
-        return LambdaPair(lam.l1 - lam.l0, lam.l1)
-    raise DomainError(f"unknown parameter symmetry {which!r}")
+    formulas = _SYMMETRIES.get(which)
+    if formulas is None:
+        raise DomainError(f"unknown parameter symmetry {which!r}")
+    return LambdaPair(*formulas[0](lam.l0, lam.l1))
 
 
 def symmetry_point(lam: LambdaPair, pt: EllPoint, which: str) -> EllPoint:
-    if which == "swap":
-        return EllPoint.make(pt.y, pt.x, pt.z)
-    if which == "complement":
-        return EllPoint.make(pt.y - pt.x, pt.y, GAUSSIAN_I * pt.z)
-    raise DomainError(f"unknown parameter symmetry {which!r}")
+    formulas = _SYMMETRIES.get(which)
+    if formulas is None:
+        raise DomainError(f"unknown parameter symmetry {which!r}")
+    return EllPoint.make(*formulas[1](lam.l0, lam.l1, pt.x, pt.y, pt.z))
 
 
 @dataclass(frozen=True, slots=True)
@@ -351,99 +367,63 @@ def random_configuration(rng: Random) -> EllipticConfiguration:
 
 # -- symbolic equation preservation ------------------------------------
 
-# Tiny exact polynomials in (l0, l1, X, Y) over Q(i), as exponent -> coeff
-# maps.  Z only ever appears through its announced scaling factor, so the
-# transform checks reduce to identities among these four variables.
+class _Poly:
+    """A polynomial in (l0, l1, X, Y, Z) over Q(i): exponent vector -> nonzero coefficient."""
 
-_Poly = Dict[Tuple[int, int, int, int], GaussianRational]
+    __slots__ = ("terms",)
 
+    def __init__(self, terms: Dict[Tuple[int, ...], GaussianRational]):
+        self.terms = {e: c for e, c in terms.items() if c}
 
-def _pconst(c: ScalarLike) -> _Poly:
-    g = GaussianRational.coerce(c)
-    return {} if g.is_zero() else {(0, 0, 0, 0): g}
+    @staticmethod
+    def lift(value) -> "_Poly":
+        if isinstance(value, _Poly):
+            return value
+        return _Poly({(0, 0, 0, 0, 0): GaussianRational.coerce(value)})
 
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in _Poly.lift(other).terms.items():
+            out[e] = out[e] + c if e in out else c
+        return _Poly(out)
 
-def _pvar(k: int) -> _Poly:
-    e = [0, 0, 0, 0]
-    e[k] = 1
-    return {tuple(e): GaussianRational(1)}
+    def __neg__(self):
+        return _Poly({e: -c for e, c in self.terms.items()})
 
+    def __sub__(self, other):
+        return self + -_Poly.lift(other)
 
-def _padd(a: _Poly, b: _Poly) -> _Poly:
-    out = dict(a)
-    for e, c in b.items():
-        acc = out.get(e, GaussianRational(0)) + c
-        if acc.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = acc
-    return out
+    def __mul__(self, other):
+        out: Dict[Tuple[int, ...], GaussianRational] = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in _Poly.lift(other).terms.items():
+                e = tuple(a + b for a, b in zip(ea, eb))
+                out[e] = out[e] + ca * cb if e in out else ca * cb
+        return _Poly(out)
 
+    __rmul__ = __mul__
 
-def _pneg(a: _Poly) -> _Poly:
-    return {e: -c for e, c in a.items()}
-
-
-def _psub(a: _Poly, b: _Poly) -> _Poly:
-    return _padd(a, _pneg(b))
-
-
-def _pmul(a: _Poly, b: _Poly) -> _Poly:
-    out: _Poly = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            acc = out.get(e, GaussianRational(0)) + ca * cb
-            if acc.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = acc
-    return out
-
-
-def _pprod(factors: Iterable[_Poly]) -> _Poly:
-    out = _pconst(1)
-    for f in factors:
-        out = _pmul(out, f)
-    return out
-
-
-def _curve_rhs_poly(l0: _Poly, l1: _Poly, x: _Poly, y: _Poly) -> _Poly:
-    return _pprod([x, y, _psub(x, y), _psub(_pmul(l1, x), _pmul(l0, y))])
+    def __eq__(self, other):
+        return isinstance(other, _Poly) and self.terms == other.terms
 
 
 def verify_equation_preservation() -> Dict[str, bool]:
     """Check all five transforms against the curve equation symbolically.
 
-    For each transform with images (l0', l1', X', Y') and Z-factor zfac,
-    the identity RHS(l0', l1', X', Y') = zfac^2 * RHS(l0, l1, X, Y) is
-    verified as an exact polynomial identity in l0, l1, X, Y.
+    The formulas that the transforms evaluate are evaluated here on the
+    variables l0, l1, X, Y, Z.  For an image parameter (l0', l1') and
+    image point (X', Y', Z'), the identity
+    Z'^2 * RHS(l0, l1, X, Y) = RHS(l0', l1', X', Y') * Z^2 is checked as
+    an exact polynomial identity.  It makes Z' a multiple c*Z with
+    c^2 * RHS = RHS', so the image of a point with Z^2 = RHS satisfies
+    Z'^2 = RHS'.
     """
-    L0, L1, X, Y = (_pvar(k) for k in range(4))
-    dlam = _psub(L0, L1)
-    table = {
-        "t1": (
-            L0,
-            L1,
-            _pmul(L0, _psub(X, Y)),
-            _psub(_pmul(L1, X), _pmul(L0, Y)),
-            _pmul(L0, dlam),
-        ),
-        "t2": (
-            L0,
-            L1,
-            _psub(_pmul(L0, Y), _pmul(L1, X)),
-            _pmul(L1, _psub(Y, X)),
-            _pmul(L1, dlam),
-        ),
-        "t3": (L0, L1, _pmul(L0, Y), _pmul(L1, X), _pmul(L0, L1)),
-        "swap": (L1, L0, Y, X, _pconst(1)),
-        "complement": (_psub(L1, L0), L1, _psub(Y, X), Y, _pconst(GAUSSIAN_I)),
+    L0, L1, X, Y, Z = (_Poly({tuple(int(j == k) for j in range(5)): _ONE}) for k in range(5))
+    images = {name: ((L0, L1), f(L0, L1, X, Y, Z)) for name, f in _TRANSLATIONS.items()}
+    for name, (pair, point) in _SYMMETRIES.items():
+        images[name] = (pair(L0, L1), point(L0, L1, X, Y, Z))
+    rhs = curve_rhs(L0, L1, X, Y)
+    return {
+        name: z * z * rhs == curve_rhs(*pair, x, y) * Z * Z
+        for name, (pair, (x, y, z)) in images.items()
     }
-    rhs = _curve_rhs_poly(L0, L1, X, Y)
-    results = {}
-    for name, (pl0, pl1, px, py, zfac) in table.items():
-        lhs = _curve_rhs_poly(pl0, pl1, px, py)
-        expected = _pmul(_pmul(zfac, zfac), rhs)
-        results[name] = lhs == expected
-    return results

@@ -8,8 +8,12 @@ matrix types used throughout:
   canonical triple of ints (d > 0, gcd(a, b, d) = 1), with one gcd per
   operation and none when a denominator is 1.
 * ``PrimeFieldElement``: elements of F_p for a prime p.
+* ``row_reduce``: the one elimination routine, Gaussian elimination on
+  sparse rows over Q(i).  It gives ``ExactMatrix.rank`` and
+  ``ExactMatrix.det`` and the ranks behind ``quiver.graded_dimension``.
 * ``ExactMatrix``: dense matrices over Q(i) with exact rank/determinant,
-  power traces tr(A), ..., tr(A^k), and nilpotency decided by them.
+  Kronecker products, power traces tr(A), ..., tr(A^k), and nilpotency
+  decided by them.
 * ``BinaryForm``: homogeneous forms in two variables over Q(i), with GCD.
 
 Plain ``int`` and ``Fraction`` values coerce into ``GaussianRational``
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Sequence, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import SchemaError
 
@@ -438,6 +442,41 @@ class PrimeFieldElement:
 
 # -- matrices over Q(i) -----------------------------------------------
 
+def row_reduce(rows: Iterable[Mapping[int, GaussianRational]]) -> List[Tuple[int, GaussianRational]]:
+    """Gaussian elimination over Q(i) on sparse rows, one row at a time.
+
+    Each row maps a column index to a nonzero entry.  A row is reduced
+    against the pivot rows found so far until its leading column is new,
+    when it becomes a pivot row, or until it vanishes.  Returns
+    (leading column, pivot entry) for each row that became a pivot row,
+    in input order; their number is the rank.
+    """
+    # leading column -> the rest of its pivot row, scaled by -1/pivot
+    tails: Dict[int, List[Tuple[int, GaussianRational]]] = {}
+    out = []
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = min(row)
+            factor = row.pop(lead)
+            tail = tails.get(lead)
+            if tail is None:
+                scale = -factor.inverse()
+                tails[lead] = [(c, v * scale) for c, v in row.items()]
+                out.append((lead, factor))
+                break
+            for c, v in tail:
+                if c in row:
+                    acc = row[c] + factor * v
+                    if acc:
+                        row[c] = acc
+                    else:
+                        del row[c]
+                else:
+                    row[c] = factor * v
+    return out
+
+
 class ExactMatrix:
     """A dense matrix over Q(i) supporting exact rank, determinant and powers."""
 
@@ -542,6 +581,16 @@ class ExactMatrix:
             return self.scale(other)
         return NotImplemented
 
+    def kron(self, other: "ExactMatrix") -> "ExactMatrix":
+        """The Kronecker product: row (i, j), column (k, l) holds self[i, k] * other[j, l]."""
+        return ExactMatrix._wrap(
+            tuple(
+                tuple(a * b for a in ra for b in rb)
+                for ra in self.rows
+                for rb in other.rows
+            )
+        )
+
     def __pow__(self, exponent: int) -> "ExactMatrix":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("matrix powers need a non-negative integer exponent")
@@ -556,55 +605,31 @@ class ExactMatrix:
             exponent >>= 1
         return out
 
-    def _eliminated(self):
-        """Row-reduce a copy, returning (pivot count, sign, diagonal product)."""
-        work = [list(row) for row in self.rows]
-        nrows, ncols = len(work), len(work[0])
-        sign = 1
-        det_product = GaussianRational(1)
-        rank = 0
-        pivot_row = 0
-        for col in range(ncols):
-            if pivot_row >= nrows:
-                break
-            found = None
-            for r in range(pivot_row, nrows):
-                if not work[r][col].is_zero():
-                    found = r
-                    break
-            if found is None:
-                det_product = GaussianRational(0)
-                continue
-            if found != pivot_row:
-                work[pivot_row], work[found] = work[found], work[pivot_row]
-                sign = -sign
-            pivot = work[pivot_row][col]
-            det_product = det_product * pivot
-            inv = pivot.inverse()
-            for r in range(pivot_row + 1, nrows):
-                factor = work[r][col]
-                if factor.is_zero():
-                    continue
-                scale = factor * inv
-                row_p = work[pivot_row]
-                row_r = work[r]
-                for c in range(col, ncols):
-                    row_r[c] = row_r[c] - scale * row_p[c]
-            rank += 1
-            pivot_row += 1
-        return rank, sign, det_product
+    def _sparse_rows(self):
+        return [{c: v for c, v in enumerate(row) if v} for row in self.rows]
 
     def rank(self) -> int:
-        rank, _, _ = self._eliminated()
-        return rank
+        return len(row_reduce(self._sparse_rows()))
 
     def det(self) -> GaussianRational:
-        if self.nrows != self.ncols:
+        """The product of the pivots, signed by the order of their columns.
+
+        Each reduced row differs from its input row by multiples of earlier
+        rows, so the determinant is unchanged; sorted by leading column the
+        reduced rows are upper triangular.
+        """
+        n = self.nrows
+        if n != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        rank, sign, product = self._eliminated()
-        if rank < self.nrows:
-            return GaussianRational(0)
-        return product if sign > 0 else -product
+        pivots = row_reduce(self._sparse_rows())
+        if len(pivots) < n:
+            return _ZERO
+        cols = [col for col, _ in pivots]
+        odd = sum(a > b for k, a in enumerate(cols) for b in cols[k + 1:]) & 1
+        product = pivots[0][1]
+        for _, pivot in pivots[1:]:
+            product = product * pivot
+        return -product if odd else product
 
     def power_traces(self, k: int) -> list:
         """[tr(A), tr(A^2), ..., tr(A^k)] for this square matrix A.

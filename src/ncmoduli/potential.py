@@ -199,33 +199,34 @@ def potential_to_quintuple(n: SymmetricPotentialMatrix) -> Quintuple:
     return Quintuple.from_matrix(n.to_exact())
 
 
+def _newton(power_sums: Sequence[Fraction], top: int) -> Tuple[List[Fraction], List[Fraction]]:
+    """Newton's identities for n values, from their power sums p_1..p_n.
+
+    Returns the elementary symmetric functions [e_1, ..., e_n], from
+    k*e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i, and the power sums
+    [p_1, ..., p_top], from p_k = sum_{i=1..n} (-1)^(i-1) e_i p_(k-i) for
+    k > n, where every e_i with i > n vanishes.
+    """
+    n = len(power_sums)
+    p = list(power_sums)
+    e = [Fraction(1)]
+    for k in range(1, n + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * p[i - 1] for i in range(1, k + 1)) / k)
+    for k in range(n + 1, top + 1):
+        p.append(sum((-1) ** (i - 1) * e[i] * p[k - i - 1] for i in range(1, n + 1)))
+    return e[1:], p
+
+
 def covering_image_invariants(inv: PotentialInvariants) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
     """Predicted tensor invariants (f2', f4', g4', f6') from potential invariants.
 
-    These are Newton-type polynomials in the power traces f1..f4 of N J:
-    the covering squares the spectrum, so even traces pass through, the
-    determinant is the elementary symmetric polynomial e4, and the sixth
-    trace is the degree-6 power sum rewritten in f1..f4.
+    The f_d are the power sums of the four eigenvalues of N J.  The
+    covering squares the spectrum, so even traces pass through, the
+    determinant is the elementary symmetric function e4, and the sixth
+    trace is the power sum p6; Newton's identities give both from f1..f4.
     """
-    f1, f2, f3, f4 = inv.as_tuple()
-    g4 = (
-        f1 ** 4 / 24
-        - f1 ** 2 * f2 / 4
-        + f1 * f3 / 3
-        + f2 ** 2 / 8
-        - f4 / 4
-    )
-    f6 = (
-        -(f1 ** 6) / 24
-        + 3 * f1 ** 4 * f2 / 8
-        - 2 * f1 ** 3 * f3 / 3
-        - 3 * f1 ** 2 * f2 ** 2 / 8
-        + 3 * f1 ** 2 * f4 / 4
-        - f2 ** 3 / 8
-        + 3 * f2 * f4 / 4
-        + f3 ** 2 / 3
-    )
-    return (f2, f4, g4, f6)
+    e, p = _newton(inv.as_tuple(), 6)
+    return (p[1], p[3], e[3], p[5])
 
 
 def verify_covering_identities(n: SymmetricPotentialMatrix) -> bool:
@@ -340,16 +341,12 @@ def reconstruct_spectrum(n: SymmetricPotentialMatrix, residual_bound: float = 1e
     """
     import numpy as np  # the only float code; kept off the package import path
 
-    inv = invariants_potential(n)
-    p1, p2, p3, p4 = (Fraction(v) for v in inv.as_tuple())
-    e1 = p1
-    e2 = (e1 * p1 - p2) / 2
-    e3 = (e2 * p1 - e1 * p2 + p3) / 3
-    e4 = (e3 * p1 - e2 * p2 + e1 * p3 - p4) / 4
+    power_sums = invariants_potential(n).as_tuple()
+    e1, e2, e3, e4 = _newton(power_sums, 4)[0]
     coeffs = [1.0, -float(e1), float(e2), -float(e3), float(e4)]
     roots = sorted(np.roots(coeffs), key=lambda z: (z.real, z.imag))
     worst = 0.0
-    for d, target in enumerate((p1, p2, p3, p4), start=1):
+    for d, target in enumerate(power_sums, start=1):
         power_sum = sum(z ** d for z in roots)
         err = abs(power_sum - float(target)) / max(1.0, abs(float(target)))
         worst = max(worst, err)

@@ -1,12 +1,13 @@
 """Invariants and classification of 2x2x2x2 tensors.
 
-A tensor w with four binary slots is flattened to a 4x4 matrix M by the
-row index (i, j) and column index (k, l), both ordered 11, 12, 21, 22.
-With the fixed symmetric pairing J below, the combination
-A = M^T J M J drives everything: the even traces f2, f4, f6 of A (half
-powers of A), together with g4 = det M, are the basic invariants, and
-they assemble into a point of the weighted projective space with weights
-(2, 4, 4, 6).
+A tensor w with four binary slots is stored as its flattening, the 4x4
+matrix M with row index (i, j) and column index (k, l), both ordered 11,
+12, 21, 22: entry w[i][j][k][l] is M[2i + j][2k + l].  A 2x2 matrix on
+each slot acts on M through Kronecker products.  With the fixed
+symmetric pairing J below, the combination A = M^T J M J drives
+everything: the even traces f2, f4, f6 of A (half powers of A), together
+with g4 = det M, are the basic invariants, and they assemble into a
+point of the weighted projective space with weights (2, 4, 4, 6).
 """
 
 from __future__ import annotations
@@ -41,106 +42,73 @@ J_MATRIX = ExactMatrix(
 
 
 class Quintuple:
-    """A 2x2x2x2 tensor over Q(i), indexed w[i][j][k][l] with i,j,k,l in {0,1}."""
+    """A 2x2x2x2 tensor over Q(i), stored as its 4x4 flattening M.
 
-    __slots__ = ("w",)
+    ``q[i, j, k, l]`` is M[2i + j][2k + l]; the constructor and the JSON
+    form take the nested array w[i][j][k][l].
+    """
+
+    __slots__ = ("m",)
 
     def __init__(self, entries: Sequence[Sequence[Sequence[Sequence[ScalarLike]]]]):
         try:
-            w = tuple(
-                tuple(
-                    tuple(
-                        tuple(GaussianRational.coerce(entries[i][j][k][l]) for l in range(2))
-                        for k in range(2)
-                    )
-                    for j in range(2)
-                )
-                for i in range(2)
-            )
             # reject ragged input that happens to be long enough
-            if any(
-                len(entries) != 2
-                or len(entries[i]) != 2
-                or len(entries[i][j]) != 2
-                or len(entries[i][j][k]) != 2
-                for i in range(2)
-                for j in range(2)
+            if len(entries) != 2 or any(
+                len(entries[i]) != 2 or len(entries[i][j]) != 2 or len(entries[i][j][k]) != 2
+                for i, j in PAIR_INDEX
                 for k in range(2)
             ):
                 raise ValueError
+            rows = tuple(
+                tuple(GaussianRational.coerce(entries[i][j][k][l]) for k, l in PAIR_INDEX)
+                for i, j in PAIR_INDEX
+            )
         except (TypeError, IndexError, ValueError, KeyError) as exc:
             raise SchemaError("a quintuple needs a full 2x2x2x2 nested array") from exc
-        self.w = w
+        self.m = ExactMatrix._wrap(rows)
 
     def __getitem__(self, key):
         i, j, k, l = key
-        return self.w[i][j][k][l]
+        return self.m.rows[2 * i + j][2 * k + l]
 
     def __eq__(self, other):
         if not isinstance(other, Quintuple):
             return NotImplemented
-        return self.w == other.w
+        return self.m == other.m
 
     def __hash__(self):
-        return hash(self.w)
+        return hash(self.m)
 
     def __repr__(self):
         nonzero = [
-            f"w[{i}{j}{k}{l}]={self.w[i][j][k][l]!r}"
-            for i in range(2)
-            for j in range(2)
-            for k in range(2)
-            for l in range(2)
-            if not self.w[i][j][k][l].is_zero()
+            f"w[{i}{j}{k}{l}]={self[i, j, k, l]!r}"
+            for i, j in PAIR_INDEX
+            for k, l in PAIR_INDEX
+            if not self[i, j, k, l].is_zero()
         ]
         return "Quintuple(" + (", ".join(nonzero) or "0") + ")"
 
     def is_zero(self) -> bool:
-        return all(
-            self.w[i][j][k][l].is_zero()
-            for i in range(2)
-            for j in range(2)
-            for k in range(2)
-            for l in range(2)
-        )
+        return self.m.is_zero()
 
     def scale(self, factor: ScalarLike) -> "Quintuple":
-        c = GaussianRational.coerce(factor)
-        return Quintuple(
-            [
-                [
-                    [[c * self.w[i][j][k][l] for l in range(2)] for k in range(2)]
-                    for j in range(2)
-                ]
-                for i in range(2)
-            ]
-        )
+        return Quintuple.from_matrix(self.m.scale(factor))
 
     def flatten(self) -> ExactMatrix:
         """The 4x4 matrix M with M[(ij)][(kl)] = w[i][j][k][l]."""
-        return ExactMatrix(
-            [
-                [self.w[i][j][k][l] for (k, l) in PAIR_INDEX]
-                for (i, j) in PAIR_INDEX
-            ]
-        )
+        return self.m
 
     @classmethod
     def from_matrix(cls, m: ExactMatrix) -> "Quintuple":
         if (m.nrows, m.ncols) != (4, 4):
             raise ValueError("expected a 4x4 matrix")
-        entries = [[[[None] * 2 for _ in range(2)] for _ in range(2)] for _ in range(2)]
-        for r, (i, j) in enumerate(PAIR_INDEX):
-            for c, (k, l) in enumerate(PAIR_INDEX):
-                entries[i][j][k][l] = m[r, c]
-        return cls(entries)
+        q = object.__new__(cls)
+        q.m = m
+        return q
 
     def to_json(self):
         return [
-            [
-                [[scalar_to_json(self.w[i][j][k][l]) for l in range(2)] for k in range(2)]
-                for j in range(2)
-            ]
+            [[[scalar_to_json(self[i, j, k, l]) for l in range(2)] for k in range(2)] for j in range(2)]
             for i in range(2)
         ]
 
@@ -162,13 +130,11 @@ class Quintuple:
 
 
 def linear_reference_quintuple() -> Quintuple:
-    """The rank-type reference tensor with entries +1 at 1122 and 2211, -1 at 2112 and 1221."""
-    entries = [[[[0] * 2 for _ in range(2)] for _ in range(2)] for _ in range(2)]
-    entries[0][0][1][1] = 1
-    entries[1][1][0][0] = 1
-    entries[1][0][0][1] = -1
-    entries[0][1][1][0] = -1
-    return Quintuple(entries)
+    """The rank-type reference tensor with entries +1 at 1122 and 2211, -1 at 2112 and 1221.
+
+    Its flattening is the pairing matrix J.
+    """
+    return Quintuple.from_matrix(J_MATRIX)
 
 
 @dataclass(frozen=True, slots=True)
@@ -305,17 +271,16 @@ def _contraction_slices(q: Quintuple, j: int) -> List[List[List[GaussianRational
     Slices are listed by the two frozen indices in PAIR_INDEX order; the
     result s[m][alpha][beta] has alpha in slot j and beta in slot j+1.
     """
-    w = q.w
     out = []
     for k0, k1 in PAIR_INDEX:
         if j == 0:
-            s = [[w[a][b][k0][k1] for b in range(2)] for a in range(2)]
+            s = [[q[a, b, k0, k1] for b in range(2)] for a in range(2)]
         elif j == 1:
-            s = [[w[k0][a][b][k1] for b in range(2)] for a in range(2)]
+            s = [[q[k0, a, b, k1] for b in range(2)] for a in range(2)]
         elif j == 2:
-            s = [[w[k0][k1][a][b] for b in range(2)] for a in range(2)]
+            s = [[q[k0, k1, a, b] for b in range(2)] for a in range(2)]
         else:
-            s = [[w[b][k0][k1][a] for b in range(2)] for a in range(2)]
+            s = [[q[b, k0, k1, a] for b in range(2)] for a in range(2)]
         out.append(s)
     return out
 
@@ -381,36 +346,12 @@ def slot_transform(
     g2: ExactMatrix,
     g3: ExactMatrix,
 ) -> Quintuple:
-    """Act by a 2x2 matrix on each of the four slots independently."""
+    """Act by a 2x2 matrix on each of the four slots independently.
+
+    On the flattening this is M -> (g0 (x) g1) M (g2 (x) g3)^T, with (x)
+    the Kronecker product in the PAIR_INDEX order.
+    """
     for g in (g0, g1, g2, g3):
         if (g.nrows, g.ncols) != (2, 2):
             raise ValueError("slot transforms must be 2x2")
-    w = [
-        [
-            [[q.w[i][j][k][l] for l in range(2)] for k in range(2)]
-            for j in range(2)
-        ]
-        for i in range(2)
-    ]
-
-    def _apply(slot, g, w):
-        out = [
-            [[[GaussianRational(0)] * 2 for _ in range(2)] for _ in range(2)]
-            for _ in range(2)
-        ]
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    for l in range(2):
-                        idx = (i, j, k, l)
-                        acc = GaussianRational(0)
-                        for t in range(2):
-                            src = list(idx)
-                            src[slot] = t
-                            acc = acc + g[idx[slot], t] * w[src[0]][src[1]][src[2]][src[3]]
-                        out[i][j][k][l] = acc
-        return out
-
-    for slot, g in enumerate((g0, g1, g2, g3)):
-        w = _apply(slot, g, w)
-    return Quintuple(w)
+    return Quintuple.from_matrix(g0.kron(g1) * q.m * g2.kron(g3).transpose())

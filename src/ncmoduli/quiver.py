@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
-from .exact import GaussianRational, ScalarLike
+from .exact import GaussianRational, ScalarLike, row_reduce
 
 #: Longest path length accepted by :func:`graded_dimension`.
 MAX_GRADED_LENGTH = 8
@@ -452,29 +452,8 @@ def graded_dimension(
                                 row[col] = acc
                         if row:
                             rows.append(row)
-        dims.append(len(ambient) - _sparse_rank(rows))
+        dims.append(len(ambient) - len(row_reduce(rows)))
     return dims
-
-
-def _sparse_rank(rows) -> int:
-    """Rank of sparse rows (dicts col -> scalar) by incremental elimination."""
-    pivots: Dict[int, Dict[int, GaussianRational]] = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            if lead not in pivots:
-                inv = row[lead].inverse()
-                pivots[lead] = {c: inv * v for c, v in row.items()}
-                break
-            factor = row[lead]
-            for c, v in pivots[lead].items():
-                acc = row.get(c, GaussianRational(0)) - factor * v
-                if acc.is_zero():
-                    row.pop(c, None)
-                else:
-                    row[c] = acc
-    return len(pivots)
 
 
 def potential_double_cover(potential: CyclicPotential) -> CyclicPotential:

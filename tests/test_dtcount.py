@@ -19,6 +19,7 @@ from ncmoduli.dtcount import (
     is_theta_stable,
     satisfies_relations,
 )
+from ncmoduli.dtcount import _degenerate_primes
 from ncmoduli.potential import SymmetricPotentialMatrix, sym_matrix_to_potential
 from ncmoduli.quiver import (
     CyclicPotential,
@@ -170,6 +171,14 @@ def test_report_excludes_degenerate_primes():
     assert "fewer than four usable primes" in report.note
 
 
+def test_degenerate_primes_match_the_jacobi_generators():
+    primes = (2, 3, 5, 7, 11, 13)
+    for potential in _reference_potentials():
+        coeffs = [c.as_fraction() for gen in jacobi_generators(potential) for _, c in gen.items()]
+        want = sorted({p for c in coeffs for p in primes if c.numerator % p == 0 or c.denominator % p == 0})
+        assert _degenerate_primes(potential, primes) == want
+
+
 def test_report_unit_deformation_is_not_polynomial():
     ones = _diagonal_potential(1, 1, 1, 1)
     theta = default_stability()
@@ -315,6 +324,8 @@ def test_count_points_matches_reference_brute_force():
 def test_satisfies_relations_matches_reference_words():
     rng = Random(5)
     for potential in _reference_potentials():
+        # the same potential with its terms inserted in reverse order
+        reversed_terms = CyclicPotential(potential.quiver, dict(reversed(list(potential.terms.items()))))
         for p in (3, 5):
             coeffs = [c.as_fraction() for gen in jacobi_generators(potential) for _, c in gen.items()]
             defined = all(c.denominator % p for c in coeffs)
@@ -322,8 +333,13 @@ def test_satisfies_relations_matches_reference_words():
                 values = tuple(rng.randrange(p) for _ in range(5))
                 rep = FramedRep.from_ints(p, *values)
                 if not defined:
-                    with pytest.raises(DomainError):
-                        satisfies_relations(rep, potential)
+                    # the message names the first bad coefficient in the
+                    # order of jacobi_generators, whatever the term order
+                    first = next(c for c in coeffs if c.denominator % p == 0)
+                    for phi in (potential, reversed_terms):
+                        with pytest.raises(DomainError) as info:
+                            satisfies_relations(rep, phi)
+                        assert str(info.value) == f"coefficient {first} is not defined in characteristic {p}"
                     continue
                 scalars = dict(zip(("a1", "a2", "b1", "b2", "i"), values))
                 want = True

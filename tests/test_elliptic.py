@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from ncmoduli import elliptic
 from ncmoduli.errors import DomainError
 from ncmoduli.exact import GaussianRational
 from ncmoduli.elliptic import (
@@ -41,6 +42,18 @@ def test_symbolic_equation_preservation():
         "swap": True,
         "complement": True,
     }
+
+
+def test_symbolic_check_reads_the_transform_table(monkeypatch):
+    # a wrong Z factor in t3 (l0 instead of l0*l1) fails the symbolic
+    # check, and translate runs the same wrong formula
+    monkeypatch.setitem(elliptic._TRANSLATIONS, "t3", lambda l0, l1, x, y, z: (l0 * y, l1 * x, l0 * z))
+    results = verify_equation_preservation()
+    assert results["t3"] is False
+    assert all(ok for name, ok in results.items() if name != "t3")
+    # the swap image has l1 = lambda != 1, where the two factors differ
+    cfg = apply_symmetry(random_configuration(Random(66)), "swap")
+    assert not on_curve(cfg.lam, translate(cfg.lam, cfg.p1, "t3"))
 
 
 def test_lambda_pair_validation():

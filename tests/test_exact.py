@@ -1,6 +1,7 @@
 """Scalar, matrix, and binary-form arithmetic against independent oracles."""
 
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 from random import Random
 
@@ -276,6 +277,15 @@ def test_matrix_rank_matches_sympy():
         right = ExactMatrix([[_rand_gaussian(rng, 3, 2) for _ in range(4)] for _ in range(r)])
         m = left * right
         assert m.rank() == _sympy_matrix(m).rank() <= r
+    # rectangular, full and deficient rank
+    for nrows, ncols in ((3, 5), (5, 3)):
+        for r in (1, 2, 3):
+            left = ExactMatrix([[_rand_gaussian(rng, 3, 2) for _ in range(r)] for _ in range(nrows)])
+            right = ExactMatrix([[_rand_gaussian(rng, 3, 2) for _ in range(ncols)] for _ in range(r)])
+            m = left * right
+            assert m.rank() == _sympy_matrix(m).rank() <= r
+        m = ExactMatrix([[_rand_gaussian(rng) for _ in range(ncols)] for _ in range(nrows)])
+        assert m.rank() == _sympy_matrix(m).rank()
 
 
 def test_matrix_det_matches_sympy():
@@ -283,6 +293,14 @@ def test_matrix_det_matches_sympy():
     for _ in range(20):
         m = _random_matrix(rng)
         assert _to_sympy(m.det()) == sympy.simplify(_sympy_matrix(m).det())
+    # permutation matrices: the determinant is the sign of the permutation
+    for perm in permutations(range(4)):
+        m = ExactMatrix([[1 if c == perm[r] else 0 for c in range(4)] for r in range(4)])
+        assert m.rank() == 4
+        assert _to_sympy(m.det()) == _sympy_matrix(m).det() in (1, -1)
+    # the first pivot lies below the first row
+    m = ExactMatrix([[0, 2, 1], [3, 1, GaussianRational(0, 1)], [1, 1, 1]])
+    assert _to_sympy(m.det()) == sympy.expand(_sympy_matrix(m).det())
 
 
 def test_matrix_det_exact_on_awkward_denominators():

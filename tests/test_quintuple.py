@@ -1,6 +1,7 @@
 """Tensor invariants, stability classes, weighted points, geometricity."""
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import numpy as np
@@ -211,6 +212,22 @@ def test_slot_transform_preserves_invariants():
         moved = slot_transform(q, *gs)
         assert invariants(moved) == invariants(q)
         assert is_geometric(moved)[0] == is_geometric(q)[0]
+
+
+def test_slot_transform_matches_the_entrywise_sum():
+    rng = Random(44)
+    for _ in range(6):
+        q = _random_tensor(rng)
+        gs = [
+            ExactMatrix([[GaussianRational(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(2)] for _ in range(2)])
+            for _ in range(4)
+        ]
+        moved = slot_transform(q, *gs)
+        for i, j, k, l in product(range(2), repeat=4):
+            want = GaussianRational(0)
+            for a, b, c, d in product(range(2), repeat=4):
+                want = want + gs[0][i, a] * gs[1][j, b] * gs[2][k, c] * gs[3][l, d] * q[a, b, c, d]
+            assert moved[i, j, k, l] == want
 
 
 def test_slot_transform_single_slot_action():
