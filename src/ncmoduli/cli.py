@@ -21,7 +21,6 @@ from .elliptic import (
     EllipticConfiguration,
     EllPoint,
     LambdaPair,
-    is_admissible,
     on_curve,
     orbit_equivalent,
 )

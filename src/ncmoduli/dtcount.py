@@ -64,9 +64,6 @@ class FramedRep:
     def from_ints(cls, p: int, a1: int, a2: int, b1: int, b2: int, i: int) -> "FramedRep":
         return cls(*(PrimeFieldElement(v, p) for v in (a1, a2, b1, b2, i)))
 
-    def scalars(self) -> Dict[str, PrimeFieldElement]:
-        return {"a1": self.a1, "a2": self.a2, "b1": self.b1, "b2": self.b2, "i": self.i}
-
 
 @dataclass(frozen=True)
 class StabilityParameter:

@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, SchemaError
-from .exact import ExactMatrix, GaussianRational, fraction_str, scalar_to_json
+from .exact import ExactMatrix, GaussianRational, fraction_str
 from .quintuple import (
     PAIR_INDEX,
     J_MATRIX,
@@ -32,12 +32,23 @@ from .quintuple import (
 )
 from .quiver import CyclicPotential, conifold_quiver
 
-_PAIR_POS = {pair: k for k, pair in enumerate(PAIR_INDEX)}
 _UPPER = [(r, c) for r in range(4) for c in range(r, 4)]
 # _UPPER_POS[r][c]: where entry (r, c) of a symmetric 4x4 matrix sits in _UPPER
 _UPPER_POS = tuple(
     tuple(_UPPER.index((min(r, c), max(r, c))) for c in range(4)) for r in range(4)
 )
+
+# _ENTRY maps each quartic cyclic word, in its canonical rotation, to its
+# upper entry (r, c): the word a_i b_j a_k b_l with (i, j) and (k, l) the
+# pairs of r and c.  Read from r or from c it is the same cycle, so the ten
+# upper entries give the ten words, in the order of _UPPER, and every
+# potential shares these tuples.
+_A, _B = ("a1", "a2"), ("b1", "b2")
+_ENTRY = {
+    min((_A[i], _B[j], _A[k], _B[l]), (_A[k], _B[l], _A[i], _B[j])): (r, c)
+    for r, c in _UPPER
+    for (i, j), (k, l) in [(PAIR_INDEX[r], PAIR_INDEX[c])]
+}
 
 
 class SymmetricPotentialMatrix:
@@ -97,51 +108,31 @@ class SymmetricPotentialMatrix:
 
 
 def potential_to_sym_matrix(potential: CyclicPotential) -> SymmetricPotentialMatrix:
-    """Extract the symmetric coefficient matrix of a quartic conifold potential."""
+    """Extract the symmetric coefficient matrix of a quartic conifold potential.
+
+    Every cycle of the conifold quiver alternates a and b arrows, so the
+    only words without an entry are those of another length.
+    """
     if potential.quiver != conifold_quiver():
         raise DomainError("expected a potential on the conifold quiver")
     acc = [[Fraction(0)] * 4 for _ in range(4)]
     for word, coeff in potential.terms.items():
-        if len(word) != 4:
+        entry = _ENTRY.get(word)
+        if entry is None:
             raise DomainError(f"word {word} is not quartic")
-        # rotate to the unique alternating reading a_i b_j a_k b_l
-        rot = None
-        for s in range(4):
-            cand = word[s:] + word[:s]
-            if all(lbl.startswith(kind) for lbl, kind in zip(cand, "abab")):
-                rot = cand
-                break
-        if rot is None:
-            raise DomainError(f"word {word} does not alternate a and b arrows")
-        i, j, k, l = (int(lbl[1]) - 1 for lbl in rot)
-        r = _PAIR_POS[(i, j)]
-        c = _PAIR_POS[(k, l)]
-        acc[r][c] += Fraction(coeff) / 2
-        acc[c][r] += Fraction(coeff) / 2
+        r, c = entry
+        acc[r][c] += coeff / 2
+        acc[c][r] += coeff / 2
     return SymmetricPotentialMatrix(acc)
-
-
-# _WORDS[r][c]: the cyclic word a_i b_j a_k b_l of entry (r, c), with
-# (i, j) and (k, l) the pairs of r and c, in its canonical rotation.  The
-# words of (r, c) and (c, r) are rotations of one another, so both entries
-# hold one tuple, and every potential shares these tuples.
-_A, _B = ("a1", "a2"), ("b1", "b2")
-_WORDS = tuple(
-    tuple(min((_A[i], _B[j], _A[k], _B[l]), (_A[k], _B[l], _A[i], _B[j])) for k, l in PAIR_INDEX)
-    for i, j in PAIR_INDEX
-)
 
 
 def sym_matrix_to_potential(n: SymmetricPotentialMatrix) -> CyclicPotential:
     """The quartic potential whose coefficient matrix is n."""
     terms: Dict[Tuple[str, ...], Fraction] = {}
-    for r in range(4):
-        for c in range(4):
-            v = n[r, c]
-            if v == 0:
-                continue
-            word = _WORDS[r][c]
-            terms[word] = terms[word] + v if word in terms else v
+    for word, (r, c) in _ENTRY.items():
+        v = n[r, c]
+        if v:
+            terms[word] = v if r == c else v + v
     return CyclicPotential(conifold_quiver(), terms)
 
 
@@ -175,10 +166,16 @@ def invariants_potential(n: SymmetricPotentialMatrix) -> PotentialInvariants:
 
 
 def classify_stability_potential(n: SymmetricPotentialMatrix) -> str:
-    """"unstable" when N J is nilpotent, otherwise "semistable"."""
+    """"unstable" when N J is nilpotent, otherwise "semistable".
+
+    The invariants f1..f4 are the power sums of the four eigenvalues of
+    N J.  By Newton's identities they all vanish exactly when the
+    characteristic polynomial is x^4, so N J is nilpotent exactly when
+    every invariant vanishes.
+    """
     if n.is_zero():
         raise DomainError("stability of the zero potential is not defined")
-    if hamiltonian_matrix(n).is_nilpotent():
+    if invariants_potential(n).all_zero():
         return "unstable"
     return "semistable"
 
@@ -330,14 +327,18 @@ def fiber_experiment(spectrum: Sequence[Fraction]) -> FiberReport:
 # -- numeric spectrum recovery ----------------------------------------
 
 
-def reconstruct_spectrum(n: SymmetricPotentialMatrix, residual_bound: float = 1e-8):
+#: Largest relative residual :func:`reconstruct_spectrum` accepts.
+SPECTRUM_RESIDUAL_BOUND = 1e-8
+
+
+def reconstruct_spectrum(n: SymmetricPotentialMatrix):
     """Recover the eigenvalues of N J numerically from its power traces.
 
     Newton's identities turn the four traces into the characteristic
     polynomial, whose roots are returned sorted by real then imaginary
     part.  The power sums of the computed roots are checked against the
-    exact traces; a relative residual above ``residual_bound`` raises
-    DomainError.
+    exact traces; a relative residual above ``SPECTRUM_RESIDUAL_BOUND``
+    raises DomainError.
     """
     import numpy as np  # the only float code; kept off the package import path
 
@@ -350,6 +351,6 @@ def reconstruct_spectrum(n: SymmetricPotentialMatrix, residual_bound: float = 1e
         power_sum = sum(z ** d for z in roots)
         err = abs(power_sum - float(target)) / max(1.0, abs(float(target)))
         worst = max(worst, err)
-    if worst > residual_bound:
-        raise DomainError(f"spectrum residual {worst:.3e} exceeds {residual_bound:.1e}")
+    if worst > SPECTRUM_RESIDUAL_BOUND:
+        raise DomainError(f"spectrum residual {worst:.3e} exceeds {SPECTRUM_RESIDUAL_BOUND:.1e}")
     return [complex(z) for z in roots]

@@ -13,7 +13,6 @@ point of the weighted projective space with weights (2, 4, 4, 6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
@@ -177,13 +176,17 @@ def classify_stability(q: Quintuple) -> str:
     """One of "stable", "strictly-semistable", "unstable".
 
     Stable means g4 does not vanish; unstable means the pairing matrix A
-    is nilpotent (every invariant vanishes); anything else sits in
-    between.
+    is nilpotent; anything else sits in between.  When g4 = det M
+    vanishes, so does det A = det(M)^2 det(J)^2, the product of the
+    eigenvalues of A.  Its other three elementary symmetric functions
+    follow from the power sums f2, f4, f6 = tr A, tr A^2, tr A^3 by
+    Newton's identities, so A is nilpotent (characteristic polynomial
+    x^4) exactly when every invariant vanishes.
     """
     inv = invariants(q)
     if not inv.g4.is_zero():
         return "stable"
-    if pairing_matrix(q).is_nilpotent():
+    if inv.all_zero():
         return "unstable"
     return "strictly-semistable"
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
 from .exact import GaussianRational, ScalarLike, row_reduce
@@ -286,21 +286,12 @@ class CyclicPotential:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def words(self) -> Tuple[Word, ...]:
-        return tuple(sorted(self.terms))
-
     def coefficient(self, word: Word) -> Fraction:
         return self.terms.get(_canonical_rotation(tuple(word)), Fraction(0))
 
     def is_homogeneous(self) -> bool:
         lengths = {len(w) for w in self.terms}
         return len(lengths) <= 1
-
-    def degree(self) -> Optional[int]:
-        lengths = {len(w) for w in self.terms}
-        if len(lengths) != 1:
-            return None
-        return lengths.pop()
 
     def expanded(self) -> Dict[Word, Fraction]:
         """All rotations of every stored word, coefficients carried along.
@@ -395,7 +386,6 @@ def graded_dimension(
     source: str,
     target: str,
     max_length: int,
-    cap: int = MAX_GRADED_LENGTH,
 ) -> list:
     """Dimensions of the length-graded pieces e_target . J(Phi) . e_source.
 
@@ -410,23 +400,20 @@ def graded_dimension(
         raise DomainError("unknown vertex for graded dimension")
     if max_length < 0:
         raise DomainError("max_length must be non-negative")
-    if max_length > cap:
+    if max_length > MAX_GRADED_LENGTH:
         raise DomainError(
-            f"max_length {max_length} exceeds the configured bound {cap}; "
-            "raise the cap explicitly if the blow-up is intended"
+            f"max_length {max_length} exceeds the configured bound {MAX_GRADED_LENGTH}"
         )
     if not potential.is_homogeneous():
         raise DomainError("graded dimensions need a homogeneous potential")
 
+    # every path of the derivative by x runs from target(x) to source(x),
+    # and homogeneity gives them one length, so the first term speaks for all
     gens = []
     for g in jacobi_generators(potential):
         paths = list(g.terms.items())
-        g_source = paths[0][0].source
-        g_target = paths[0][0].target
-        g_degree = paths[0][0].length
-        if any(p.source != g_source or p.target != g_target for p, _ in g.terms.items()):
-            raise DomainError("derivative with mixed endpoints; potential is malformed")
-        gens.append((g_source, g_target, g_degree, paths))
+        first = paths[0][0]
+        gens.append((first.source, first.target, first.length, paths))
 
     dims = []
     for length in range(max_length + 1):

@@ -16,6 +16,7 @@ from ncmoduli.potential import (
     classify_stability_potential,
     covering_image_invariants,
     fiber_experiment,
+    hamiltonian_matrix,
     invariants_potential,
     potential_to_quintuple,
     potential_to_sym_matrix,
@@ -94,24 +95,35 @@ def test_diagonal_matrix_encodes_square_words():
 
 
 def test_non_quartic_and_non_alternating_rejected():
+    for word in (
+        ("a1", "b1"),
+        ("a1", "b1", "a2", "b2", "a1", "b2"),
+        ("a1", "b1", "a2", "b2", "a1", "b1", "a2", "b2"),
+    ):
+        with pytest.raises(DomainError, match="is not quartic"):
+            potential_to_sym_matrix(CyclicPotential(conifold_quiver(), {word: Fraction(1)}))
+    # a word that does not alternate is not a cycle of the conifold quiver
     with pytest.raises(DomainError):
-        potential_to_sym_matrix(
-            CyclicPotential(conifold_quiver(), {("a1", "b1"): Fraction(1)})
-        )
-    with pytest.raises(DomainError):
-        potential_to_sym_matrix(
-            CyclicPotential(
-                conifold_quiver(),
-                {("a1", "b1", "b2", "a2", "b1", "a1"): Fraction(1)},
-            )
-        )
-    with pytest.raises(DomainError):
-        potential_to_sym_matrix(
-            CyclicPotential(
-                conifold_quiver(),
-                {("a1", "b1", "a2", "b2", "a1", "b1", "a2", "b2"): Fraction(1)},
-            )
-        )
+        CyclicPotential(conifold_quiver(), {("a1", "b1", "b2", "a2", "b1", "a1"): Fraction(1)})
+
+
+def test_every_rotation_of_each_word_maps_to_its_entry_and_back():
+    a, b = ("a1", "a2"), ("b1", "b2")
+    pairs = ((0, 0), (0, 1), (1, 0), (1, 1))
+    for r in range(4):
+        for c in range(r, 4):
+            (i, j), (k, l) = pairs[r], pairs[c]
+            word = (a[i], b[j], a[k], b[l])
+            rows = [[Fraction(0)] * 4 for _ in range(4)]
+            # the coefficient 1 splits evenly over (r, c) and (c, r)
+            rows[r][c] += Fraction(1, 2)
+            rows[c][r] += Fraction(1, 2)
+            expected = SymmetricPotentialMatrix(rows)
+            for s in range(4):
+                phi = CyclicPotential(conifold_quiver(), {word[s:] + word[:s]: Fraction(1)})
+                n = potential_to_sym_matrix(phi)
+                assert n == expected, (word, s)
+                assert sym_matrix_to_potential(n) == phi, (word, s)
 
 
 def test_base_potential_invariants():
@@ -146,6 +158,25 @@ def test_corner_matrix_is_unstable():
     assert classify_stability_potential(n) == "unstable"
     with pytest.raises(DomainError):
         weighted_point_potential(n)
+
+
+def test_stability_matches_nilpotency_of_the_hamiltonian():
+    # the reference is the definition: unstable exactly when N J is nilpotent
+    rng = Random(55)
+    verdicts = {"unstable": 0, "semistable": 0}
+    for _ in range(300):
+        rows = [[Fraction(0)] * 4 for _ in range(4)]
+        for r in range(4):
+            for c in range(r, 4):
+                v = Fraction(rng.choice((0, 0, 0, 0, 0, 1, -1, 2)), rng.randint(1, 3))
+                rows[r][c] = rows[c][r] = v
+        n = SymmetricPotentialMatrix(rows)
+        if n.is_zero():
+            continue
+        expected = "unstable" if hamiltonian_matrix(n).is_nilpotent() else "semistable"
+        assert classify_stability_potential(n) == expected, n
+        verdicts[expected] += 1
+    assert min(verdicts.values()) >= 20, verdicts
 
 
 def test_zero_matrix_rejected():

@@ -103,6 +103,45 @@ def test_diagonal_with_kernel_is_strictly_semistable():
     assert classify_stability(q) == "strictly-semistable"
 
 
+def test_stability_matches_the_definition():
+    # the reference is the definition: stable when det M != 0, unstable
+    # when the pairing matrix is nilpotent, strictly semistable otherwise
+    rng = Random(66)
+    scalars = (0, 0, 0, 0, 1, -1, 2, GaussianRational(0, 1), GaussianRational(1, -1))
+
+    def vector():
+        return [rng.choice(scalars) for _ in range(4)]
+
+    def rank_one():
+        u, v = vector(), vector()
+        return [[x * y for y in v] for x in u]
+
+    verdicts = {"stable": 0, "strictly-semistable": 0, "unstable": 0}
+    checked = 0
+    while checked < 600:
+        kind = checked % 3
+        if kind == 0:
+            rows = [vector() for _ in range(4)]
+        elif kind == 1:
+            rows = rank_one()
+        else:
+            rows = [[x + y for x, y in zip(u, v)] for u, v in zip(rank_one(), rank_one())]
+        m = ExactMatrix(rows)
+        if m.is_zero():
+            continue
+        q = Quintuple.from_matrix(m)
+        if not m.det().is_zero():
+            expected = "stable"
+        elif pairing_matrix(q).is_nilpotent():
+            expected = "unstable"
+        else:
+            expected = "strictly-semistable"
+        assert classify_stability(q) == expected, q
+        verdicts[expected] += 1
+        checked += 1
+    assert min(verdicts.values()) >= 50, verdicts
+
+
 def test_zero_tensor_rejected():
     q = _tensor_with({})
     with pytest.raises(DomainError):

@@ -8,6 +8,7 @@ import pytest
 from ncmoduli.errors import DomainError
 from ncmoduli.exact import GaussianRational
 from ncmoduli.quiver import (
+    MAX_GRADED_LENGTH,
     AlgebraElement,
     CyclicPotential,
     conifold_potential,
@@ -157,9 +158,9 @@ def test_graded_dimension_zero_potential():
 
 def test_graded_dimension_guards():
     phi = conifold_potential()
-    with pytest.raises(DomainError):
-        graded_dimension(phi, "v0", "v0", 9)
-    assert graded_dimension(phi, "v0", "v0", 2, cap=9) == [1, 0, 4]
+    with pytest.raises(DomainError, match="exceeds the configured bound"):
+        graded_dimension(phi, "v0", "v0", MAX_GRADED_LENGTH + 1)
+    assert len(graded_dimension(phi, "v0", "v0", MAX_GRADED_LENGTH)) == MAX_GRADED_LENGTH + 1
     with pytest.raises(DomainError):
         graded_dimension(phi, "v9", "v0", 2)
     with pytest.raises(DomainError):
