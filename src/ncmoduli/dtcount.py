@@ -15,10 +15,12 @@ rather than assumed.
 Stability depends only on which of the five scalars vanish, so each
 StabilityParameter holds one verdict per zero pattern (32 of them), and
 both ``is_theta_stable`` and the framed-chamber check of ``count_points``
-read that table.  The relations are compiled once per count into
-commuting polynomials mod p.  The count walks the (a1, a2) slices: a
-slice on which every relation vanishes adds its stable points in closed
-form, and any other slice is enumerated point by point over (b1, b2), so
+read that table.  The relations come from the cyclic-derivative table
+of ``quiver`` that ``jacobi_generators`` reads too: once per count, each
+path becomes the monomial of its arrow counts, giving commuting
+polynomials mod p.  The count walks the (a1, a2) slices: a slice on
+which every relation vanishes adds its stable points in closed form,
+and any other slice is enumerated point by point over (b1, b2), so
 potentials whose relations cut out a proper subset still cost O(p^4).
 Primes above ``MAX_COUNT_PRIME`` are refused before any enumeration.
 """
@@ -33,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .exact import PrimeFieldElement, fraction_str, is_prime
-from .quiver import CyclicPotential, conifold_quiver, framed_conifold_quiver
+from .quiver import CyclicPotential, _cyclic_derivatives, conifold_quiver, framed_conifold_quiver
 
 ARROW_ORDER = ("a1", "a2", "b1", "b2")
 
@@ -104,32 +106,13 @@ def _check_count_bound(p: int) -> None:
         )
 
 
-def _path_coefficients(potential: CyclicPotential) -> List[Tuple[Tuple[str, ...], int, Fraction]]:
-    """(word, n/d, c*n/d) for each word of the potential, c its coefficient.
-
-    A word of length n and period d is n/d of its own rotations, so every
-    path of its cyclic derivatives carries the coefficient c*n/d.  Words
-    are listed in the order in which ``jacobi_generators`` first meets
-    their paths: by leading arrow, then length, then arrows.  A stored
-    word is its least rotation, so that rotation gives its first path.
-    """
-    out = []
-    for word, coeff in potential.terms.items():
-        n = len(word)
-        repeats = n // next(d for d in range(1, n + 1) if word[d:] + word[:d] == word)
-        out.append((word, repeats, coeff * repeats))
-    out.sort(key=lambda entry: (entry[0][0], len(entry[0]), entry[0]))
-    return out
-
-
 def _commuting_relations(potential: CyclicPotential, p: int) -> List[Dict[Tuple[int, ...], int]]:
     """The Jacobi relations at dimension (1, 1, 1) as commuting polynomials mod p.
 
-    Scalars commute, so the cyclic derivative by an arrow x evaluates to
-    the ordinary partial derivative by x of the potential's polynomial.
-    Each relation maps an exponent vector over ``ARROW_ORDER`` to its
-    coefficient mod p; terms that cancel mod p are dropped, and so are
-    relations that vanish identically.
+    Scalars commute, so each path of a cyclic derivative evaluates to the
+    monomial of its arrow counts.  Each relation maps an exponent vector
+    over ``ARROW_ORDER`` to its coefficient mod p; terms that cancel mod p
+    are dropped, and so are relations that vanish identically.
 
     Raises DomainError when p is not prime, or when a coefficient of a
     derivative path has a denominator divisible by p, since the relation
@@ -139,19 +122,23 @@ def _commuting_relations(potential: CyclicPotential, p: int) -> List[Dict[Tuple[
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    relations: List[Dict[Tuple[int, ...], int]] = [{} for _ in ARROW_ORDER]
-    for word, repeats, path_coeff in _path_coefficients(potential):
-        if path_coeff.denominator % p == 0:
-            raise DomainError(f"coefficient {path_coeff} is not defined in characteristic {p}")
-        c = path_coeff.numerator * pow(path_coeff.denominator, -1, p) % p
-        exps = tuple(word.count(x) for x in ARROW_ORDER)
-        for k, relation in enumerate(relations):
-            if exps[k]:
-                # exps[k] / repeats distinct paths, each with monomial word / x
-                key = exps[:k] + (exps[k] - 1,) + exps[k + 1:]
-                relation[key] = (relation.get(key, 0) + c * (exps[k] // repeats)) % p
-    compact = ({e: c for e, c in relation.items() if c} for relation in relations)
-    return [relation for relation in compact if relation]
+    a1, a2, b1, b2 = ARROW_ORDER
+    inverses: Dict[int, int] = {}  # each distinct denominator inverted once
+    relations = []
+    for derivative in _cyclic_derivatives(potential).values():
+        relation: Dict[Tuple[int, ...], int] = {}
+        for path, coeff in derivative.items():
+            den = coeff.denominator
+            if den not in inverses:
+                if den % p == 0:
+                    raise DomainError(f"coefficient {coeff} is not defined in characteristic {p}")
+                inverses[den] = pow(den, -1, p)
+            key = (path.count(a1), path.count(a2), path.count(b1), path.count(b2))
+            relation[key] = relation.get(key, 0) + coeff.numerator * inverses[den]
+        relation = {e: c % p for e, c in relation.items() if c % p}
+        if relation:
+            relations.append(relation)
+    return relations
 
 
 def _relations_hold(relations: List[Dict[Tuple[int, ...], int]], values: Tuple[int, ...], p: int) -> bool:
@@ -351,12 +338,10 @@ def _degenerate_primes(potential: CyclicPotential, primes: Sequence[int]) -> Lis
     counts are excluded from polynomial interpolation (they are still
     computed and reported when the denominators survive).
     """
-    bad = set()
-    for _, _, coeff in _path_coefficients(potential):
-        for p in primes:
-            if coeff.numerator % p == 0 or coeff.denominator % p == 0:
-                bad.add(p)
-    return sorted(bad)
+    # a prime divides the numerator or the denominator when it divides their product
+    table = _cyclic_derivatives(potential)
+    products = {c.numerator * c.denominator for derivative in table.values() for c in derivative.values()}
+    return sorted({p for p in primes for v in products if v % p == 0})
 
 
 def counting_report(

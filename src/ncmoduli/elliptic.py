@@ -43,7 +43,6 @@ from .errors import DomainError
 from .exact import GAUSSIAN_I, GaussianRational, ScalarLike
 
 TRANSLATION_NAMES = ("t1", "t2", "t3")
-SYMMETRY_NAMES = ("swap", "complement")
 
 #: Canonical words in swap/complement realizing the six parameter symmetries.
 LAMBDA_WORDS: Tuple[Tuple[str, ...], ...] = (

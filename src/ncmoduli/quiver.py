@@ -294,18 +294,16 @@ class CyclicPotential:
         return len(lengths) <= 1
 
     def expanded(self) -> Dict[Word, Fraction]:
-        """All rotations of every stored word, coefficients carried along.
+        """Every distinct rotation of every stored word, with its coefficient.
 
-        A cycle with a nontrivial rotational symmetry repeats some
-        rotations; their coefficients add, which is what makes cyclic
-        differentiation come out right.
+        The coefficients are those of the cyclic derivatives, so a word of
+        period d and length n gives each of its d rotations n/d times its own.
         """
-        out: Dict[Word, Fraction] = {}
-        for word, coeff in self.terms.items():
-            for k in range(len(word)):
-                rot = word[k:] + word[:k]
-                out[rot] = out.get(rot, Fraction(0)) + coeff
-        return {w: c for w, c in out.items() if c != 0}
+        return {
+            (arrow,) + path: c
+            for arrow, derivative in _cyclic_derivatives(self).items()
+            for path, c in derivative.items()
+        }
 
     def scale(self, factor: Union[int, Fraction]) -> "CyclicPotential":
         f = Fraction(factor)
@@ -341,33 +339,51 @@ def conifold_potential() -> CyclicPotential:
     )
 
 
-def partial_derivative(potential: CyclicPotential, arrow: str) -> AlgebraElement:
-    """Cyclic derivative: rotate each cycle to start with ``arrow``, strip it.
+def _cyclic_derivatives(potential: CyclicPotential) -> Dict[str, Dict[Word, Fraction]]:
+    """The nonzero cyclic derivative by each arrow, in label order.
 
-    Every rotation of every stored word that begins with the arrow
-    contributes its trailing path, so cycles with repeated arrows pick up
-    the expected multiplicities.
+    The derivative by x maps each path w such that x.w is a rotation of a
+    stored word to its coefficient, in (length, word) order of w.  The n
+    rotations of a word of length n and period d repeat each of its d
+    distinct rotations n/d times, so each path gets c*n/d, c the word's
+    coefficient.  Since x.w fixes the cycle, no path comes from two words.
     """
+    by_arrow: Dict[str, list] = {}
+    for word, coeff in potential.terms.items():
+        n = len(word)
+        twice = word + word
+        rotations = {twice[k:k + n] for k in range(n)}
+        if len(rotations) < n:
+            coeff *= n // len(rotations)
+        for rot in rotations:
+            by_arrow.setdefault(rot[0], []).append((n, rot[1:], coeff))
+    # a path occurs once per arrow, so the sorts never compare coefficients
+    return {
+        arrow: {path: c for _, path, c in sorted(by_arrow[arrow])}
+        for arrow in sorted(by_arrow)
+    }
+
+
+def _derivative_element(quiver: Quiver, arrow: str, derivative: Mapping[Word, Fraction]) -> AlgebraElement:
+    # each path runs from target(arrow) back to source(arrow); the empty
+    # path of a loop is the unit there
+    src, tgt = quiver.target(arrow), quiver.source(arrow)
+    return AlgebraElement(quiver, {Path(path, src, tgt): c for path, c in derivative.items()})
+
+
+def partial_derivative(potential: CyclicPotential, arrow: str) -> AlgebraElement:
+    """Cyclic derivative: rotate each cycle to start with ``arrow``, strip it."""
     quiver = potential.quiver
     quiver._arrow(arrow)  # validates the label
-    out: Dict[Path, GaussianRational] = {}
-    for word, coeff in potential.expanded().items():
-        if word[0] != arrow:
-            continue
-        rest = word[1:]
-        path = quiver.path(rest) if rest else quiver.unit(quiver.source(arrow))
-        out[path] = out.get(path, GaussianRational(0)) + GaussianRational(coeff)
-    return AlgebraElement(quiver, out)
+    return _derivative_element(quiver, arrow, _cyclic_derivatives(potential).get(arrow, {}))
 
 
 def jacobi_generators(potential: CyclicPotential) -> Tuple[AlgebraElement, ...]:
     """Nonzero cyclic derivatives of the potential, in arrow label order."""
-    gens = []
-    for label in sorted(potential.quiver.arrow_labels()):
-        d = partial_derivative(potential, label)
-        if not d.is_zero():
-            gens.append(d)
-    return tuple(gens)
+    return tuple(
+        _derivative_element(potential.quiver, arrow, derivative)
+        for arrow, derivative in _cyclic_derivatives(potential).items()
+    )
 
 
 def enumerate_paths(quiver: Quiver, source: str, target: str, length: int):
@@ -408,12 +424,16 @@ def graded_dimension(
         raise DomainError("graded dimensions need a homogeneous potential")
 
     # every path of the derivative by x runs from target(x) to source(x),
-    # and homogeneity gives them one length, so the first term speaks for all
-    gens = []
-    for g in jacobi_generators(potential):
-        paths = list(g.terms.items())
-        first = paths[0][0]
-        gens.append((first.source, first.target, first.length, paths))
+    # and homogeneity gives them one length, so the first path speaks for all
+    gens = [
+        (
+            quiver.target(arrow),
+            quiver.source(arrow),
+            len(next(iter(derivative))),
+            [(path, GaussianRational(c)) for path, c in derivative.items()],
+        )
+        for arrow, derivative in _cyclic_derivatives(potential).items()
+    ]
 
     dims = []
     for length in range(max_length + 1):
@@ -428,17 +448,8 @@ def graded_dimension(
                 dq = free - dp
                 for p_word in enumerate_paths(quiver, g_target, target, dp):
                     for q_word in enumerate_paths(quiver, source, g_source, dq):
-                        row: Dict[int, GaussianRational] = {}
-                        for r_path, coeff in g_terms:
-                            word = p_word + r_path.arrows + q_word
-                            col = index[word]
-                            acc = row.get(col, GaussianRational(0)) + coeff
-                            if acc.is_zero():
-                                row.pop(col, None)
-                            else:
-                                row[col] = acc
-                        if row:
-                            rows.append(row)
+                        # distinct paths give distinct words, so nothing cancels
+                        rows.append({index[p_word + path + q_word]: c for path, c in g_terms})
         dims.append(len(ambient) - len(row_reduce(rows)))
     return dims
 

@@ -138,6 +138,53 @@ def test_jacobi_generators_order_and_degrees():
     assert jacobi_generators(CyclicPotential(Q, {})) == ()
 
 
+# periodic words: (a1 b1)^2, (a1 b1)^3 and (a1 b1 a2 b2)^2
+PERIODIC_WORDS = (("a1", "b1") * 2, ("a1", "b1") * 3, ("a1", "b1", "a2", "b2") * 2)
+
+
+def _multiplicity_potentials():
+    rng = Random(23)
+    out = []
+    for _ in range(12):
+        terms = {w: Fraction(rng.choice((1, -1, 2, -3, 5)), rng.choice((1, 2, 3))) for w in PERIODIC_WORDS}
+        for _ in range(4):
+            pairs = rng.choice((1, 2, 2, 3, 4))
+            word = tuple(x for _ in range(pairs) for x in (rng.choice(("a1", "a2")), rng.choice(("b1", "b2"))))
+            terms[word] = Fraction(rng.choice((1, -2, 3, 7)), rng.choice((1, 5)))
+        out.append(CyclicPotential(Q, terms))
+    return out
+
+
+def test_derivative_multiplicities_match_letter_counts():
+    # independent of the library's rotations: the commutative image of
+    # d_x W is the partial derivative of the polynomial of W, the sum over
+    # words of c * e_x * monomial / x with e_x the number of x's in the word
+    labels = Q.arrow_labels()
+    for potential in _multiplicity_potentials():
+        want = {x: {} for x in labels}
+        for word, c in potential.terms.items():
+            exps = [word.count(x) for x in labels]
+            for k, x in enumerate(labels):
+                if exps[k]:
+                    key = tuple(e - (j == k) for j, e in enumerate(exps))
+                    want[x][key] = want[x].get(key, 0) + c * exps[k]
+        for x in labels:
+            image = {}
+            for path, coeff in partial_derivative(potential, x).items():
+                key = tuple(path.arrows.count(y) for y in labels)
+                image[key] = image.get(key, 0) + coeff.as_fraction()
+            assert {k: v for k, v in image.items() if v} == {k: v for k, v in want[x].items() if v}
+        assert jacobi_generators(potential) == tuple(
+            d for d in (partial_derivative(potential, x) for x in sorted(labels)) if not d.is_zero()
+        )
+        # each distinct rotation of a word of length n with d of them gets c * n / d
+        expected = {}
+        for word, c in potential.terms.items():
+            rotations = {word[k:] + word[:k] for k in range(len(word))}
+            expected.update((rot, c * len(word) / len(rotations)) for rot in rotations)
+        assert potential.expanded() == expected
+
+
 def test_path_enumeration_counts():
     assert len(list(enumerate_paths(Q, "v0", "v0", 0))) == 1
     assert len(list(enumerate_paths(Q, "v0", "v0", 2))) == 4
