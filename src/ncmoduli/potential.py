@@ -15,13 +15,21 @@ exactly on any given N.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, SchemaError
-from .exact import ExactMatrix, GaussianRational, fraction_str
+from .exact import (
+    BinaryForm,
+    ExactMatrix,
+    GaussianRational,
+    _poly_divmod,
+    binary_form_gcd,
+    fraction_str,
+)
 from .quintuple import (
     PAIR_INDEX,
     J_MATRIX,
@@ -330,22 +338,74 @@ def fiber_experiment(spectrum: Sequence[Fraction]) -> FiberReport:
 #: Largest relative residual :func:`reconstruct_spectrum` accepts.
 SPECTRUM_RESIDUAL_BOUND = 1e-8
 
+#: Durand-Kerner sweeps allowed per square-free factor.
+_ROOT_SWEEPS = 100
+
+
+def _simple_roots(factor: List[GaussianRational]) -> List[complex]:
+    """The roots of a monic square-free polynomial, from descending coefficients.
+
+    A linear factor gives its root exactly.  A longer one runs Durand-Kerner
+    sweeps from points on a circle of Fujiwara's radius, which encloses
+    every root.  Sweeps evaluate in floats until the corrections settle,
+    or until half of ``_ROOT_SWEEPS`` are spent, and then evaluate the
+    exact factor at each float iterate: near a cluster of close roots a
+    float evaluation is only rounding noise.
+    """
+    if len(factor) == 2:
+        return [complex(-factor[1])]
+    c = [complex(v) for v in factor]
+    d = len(c) - 1
+    radius = 2 * max(abs(v) ** (1 / k) for k, v in enumerate(c[1:], start=1))
+    z = [radius * cmath.exp(1j * (2 * cmath.pi * k + 1) / d) for k in range(d)]
+    exact = False
+    for sweep in range(_ROOT_SWEEPS):
+        moved = 0.0
+        for k in range(d):
+            if exact:
+                x, coeffs = GaussianRational(Fraction(z[k].real), Fraction(z[k].imag)), factor
+            else:
+                x, coeffs = z[k], c
+            value = coeffs[0]
+            for v in coeffs[1:]:
+                value = value * x + v
+            value = complex(value)
+            for j in range(d):
+                if j != k:
+                    value /= z[k] - z[j]
+            z[k] -= value
+            moved = max(moved, abs(value))
+        if moved <= 1e-16 * radius or sweep == _ROOT_SWEEPS // 2:
+            if exact:
+                break
+            exact = True
+    return z
+
 
 def reconstruct_spectrum(n: SymmetricPotentialMatrix):
     """Recover the eigenvalues of N J numerically from its power traces.
 
     Newton's identities turn the four traces into the characteristic
-    polynomial, whose roots are returned sorted by real then imaginary
+    polynomial f, an exact binary form.  Its square-free levels are the
+    quotients f_(k-1) / f_k, where f_0 = f and f_k = gcd(f_(k-1), f_(k-1)');
+    the k-th level holds every root of multiplicity at least k once, so
+    a repeated root is found once per level, and exactly when the level
+    is linear.  The roots are returned sorted by real then imaginary
     part.  The power sums of the computed roots are checked against the
     exact traces; a relative residual above ``SPECTRUM_RESIDUAL_BOUND``
     raises DomainError.
     """
-    import numpy as np  # the only float code; kept off the package import path
-
     power_sums = invariants_potential(n).as_tuple()
     e1, e2, e3, e4 = _newton(power_sums, 4)[0]
-    coeffs = [1.0, -float(e1), float(e2), -float(e3), float(e4)]
-    roots = sorted(np.roots(coeffs), key=lambda z: (z.real, z.imag))
+    level = BinaryForm([1, -e1, e2, -e3, e4])
+    roots: List[complex] = []
+    while level.degree:
+        d = level.degree
+        derivative = BinaryForm([(d - k) * c for k, c in enumerate(level.coeffs[:-1])])
+        deeper = binary_form_gcd([level, derivative])
+        roots += _simple_roots(_poly_divmod(level.coeffs, deeper.coeffs)[0])
+        level = deeper
+    roots.sort(key=lambda z: (z.real, z.imag))
     worst = 0.0
     for d, target in enumerate(power_sums, start=1):
         power_sum = sum(z ** d for z in roots)
@@ -353,4 +413,4 @@ def reconstruct_spectrum(n: SymmetricPotentialMatrix):
         worst = max(worst, err)
     if worst > SPECTRUM_RESIDUAL_BOUND:
         raise DomainError(f"spectrum residual {worst:.3e} exceeds {SPECTRUM_RESIDUAL_BOUND:.1e}")
-    return [complex(z) for z in roots]
+    return roots

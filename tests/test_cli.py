@@ -1,6 +1,10 @@
-"""End-to-end runs of the command line entry point, in process."""
+"""End-to-end runs of the command line entry point, in process and as subprocesses."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from ncmoduli.cli import main
 
@@ -77,6 +81,26 @@ def test_map_potential(tmp_path, capsys):
         "g4": "1/16",
         "f6": "1/16",
     }
+
+
+def test_package_runs_as_a_module(tmp_path):
+    """``python -m ncmoduli`` prints the same bytes as ``python -m ncmoduli.cli``."""
+    src = _write(tmp_path, "phi.json", CLASSICAL)
+    env = dict(os.environ)
+    src_dir = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    outputs = []
+    for module in ("ncmoduli", "ncmoduli.cli"):
+        result = subprocess.run(
+            [sys.executable, "-m", module, "classify-potential", "-i", src],
+            env=env,
+            capture_output=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["f"] == ["2", "1", "1/2", "1/4"]
 
 
 def test_unstable_potential_has_no_weighted_point(tmp_path, capsys):

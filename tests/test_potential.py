@@ -12,7 +12,9 @@ import pytest
 from ncmoduli.errors import DomainError
 from ncmoduli.exact import GaussianRational
 from ncmoduli.potential import (
+    SPECTRUM_RESIDUAL_BOUND,
     SymmetricPotentialMatrix,
+    _newton,
     classify_stability_potential,
     covering_image_invariants,
     fiber_experiment,
@@ -268,6 +270,87 @@ def test_reconstruct_spectrum_random_consistency():
         for d, target in enumerate(inv.as_tuple(), start=1):
             power_sum = sum(z ** d for z in roots)
             assert abs(power_sum - float(target)) <= 1e-7 * max(1.0, abs(float(target)))
+
+
+def _power_sum_residual(roots, power_sums):
+    return max(
+        abs(sum(z ** d for z in roots) - float(t)) / max(1.0, abs(float(t)))
+        for d, t in enumerate(power_sums, start=1)
+    )
+
+
+def _reference_matrices(rng):
+    """1,000 seeded symmetric N: the criterion-1 range, then square words,
+    low-rank, diagonal and near-base matrices (a cluster of four roots)."""
+    base = potential_to_sym_matrix(conifold_potential())
+    for _ in range(600):
+        yield _random_symmetric(rng, span=9, maxden=9)
+    for _ in range(100):
+        k = rng.randrange(4)
+        vals = [[Fraction(0)] * 4 for _ in range(4)]
+        vals[k][k] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        yield SymmetricPotentialMatrix(vals)
+    for _ in range(100):
+        vals = [[Fraction(0)] * 4 for _ in range(4)]
+        for _ in range(rng.randint(1, 2)):
+            u = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
+            s = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            for r in range(4):
+                for c in range(4):
+                    vals[r][c] += s * u[r] * u[c]
+        yield SymmetricPotentialMatrix(vals)
+    for _ in range(100):
+        yield SymmetricPotentialMatrix.diagonal(
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
+        )
+    for _ in range(100):
+        scale = 10 ** rng.randint(2, 12)
+        vals = [[base[r, c] for c in range(4)] for r in range(4)]
+        for r in range(4):
+            for c in range(r, 4):
+                vals[r][c] += Fraction(rng.randint(-9, 9), scale)
+                vals[c][r] = vals[r][c]
+        yield SymmetricPotentialMatrix(vals)
+
+
+def test_reconstruct_spectrum_matches_numpy_reference():
+    """No refusal where numpy's companion-matrix roots pass the same check,
+    and a worst relative power-sum residual of at most 1e-10."""
+    import numpy as np
+
+    refused, worst, count = [], 0.0, 0
+    for n in _reference_matrices(Random(55)):
+        if n.is_zero():
+            continue
+        count += 1
+        power_sums = invariants_potential(n).as_tuple()
+        try:
+            worst = max(worst, _power_sum_residual(reconstruct_spectrum(n), power_sums))
+        except DomainError:
+            e1, e2, e3, e4 = (float(e) for e in _newton(power_sums, 4)[0])
+            reference = list(np.roots([1.0, -e1, e2, -e3, e4]))
+            if _power_sum_residual(reference, power_sums) <= SPECTRUM_RESIDUAL_BOUND:
+                refused.append(n)
+    assert count >= 990
+    assert refused == []
+    assert worst <= 1e-10
+
+
+def test_reconstruct_spectrum_splits_repeated_roots_exactly():
+    base = potential_to_sym_matrix(conifold_potential())
+    assert reconstruct_spectrum(base) == [0.5, 0.5, 0.5, 0.5]
+    square = SymmetricPotentialMatrix.diagonal([Fraction(3, 7), 0, 0, 0])
+    assert sym_matrix_to_potential(square).terms == {("a1", "b1", "a1", "b1"): Fraction(3, 7)}
+    assert reconstruct_spectrum(square) == [0, 0, 0, 0]
+    # spectrum {1/2, 1/2, -2, 3}: the second level is x - 1/2, and the
+    # exact sweeps on the first level land on 1/2 as well
+    half = Fraction(1, 2)
+    n = SymmetricPotentialMatrix(
+        [[0, 0, 0, half], [0, 5 * half, -half, 0], [0, -half, 5 * half, 0], [half, 0, 0, 0]]
+    )
+    roots = reconstruct_spectrum(n)
+    assert roots[1:3] == [0.5, 0.5]
+    assert abs(roots[0] + 2) < 1e-12 and abs(roots[3] - 3) < 1e-12
 
 
 def test_import_does_not_load_numpy():
