@@ -223,6 +223,8 @@ def _cmd_dt_count(args) -> int:
 
 
 def _cmd_acceptance(args) -> int:
+    if args.samples is not None and args.samples < 1:
+        raise SchemaError(f"--samples must be positive, got {args.samples}")
     results = run_acceptance(seed=args.seed, samples=args.samples)
     if args.json:
         _write_document([r.to_json() for r in results], args.output)

@@ -688,10 +688,6 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
-    def is_constant(self) -> bool:
-        """True for forms with no projective zero: degree 0, or zero."""
-        return self.is_zero() or self.degree == 0
-
     def evaluate(self, u1: ScalarLike, u2: ScalarLike) -> GaussianRational:
         a = GaussianRational.coerce(u1)
         b = GaussianRational.coerce(u2)

@@ -382,6 +382,23 @@ def _simple_roots(factor: List[GaussianRational]) -> List[complex]:
     return z
 
 
+def _real_root_count(factor: List[GaussianRational]) -> int:
+    """Distinct real roots of a square-free rational polynomial, by Sturm's theorem.
+
+    The Sturm sequence starts with the polynomial and its derivative and
+    continues with negated remainders; the count is the number of sign
+    changes among the leading terms at -infinity minus those at +infinity.
+    """
+    d = len(factor) - 1
+    chain = [factor, [(d - k) * c for k, c in enumerate(factor[:-1])]]
+    while len(chain[-1]) > 1:
+        chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
+    at_plus = [p[0].re > 0 for p in chain]
+    at_minus = [s == (len(p) % 2 == 1) for s, p in zip(at_plus, chain)]
+    minus, plus = (sum(x != y for x, y in zip(v, v[1:])) for v in (at_minus, at_plus))
+    return minus - plus
+
+
 def reconstruct_spectrum(n: SymmetricPotentialMatrix):
     """Recover the eigenvalues of N J numerically from its power traces.
 
@@ -390,10 +407,12 @@ def reconstruct_spectrum(n: SymmetricPotentialMatrix):
     quotients f_(k-1) / f_k, where f_0 = f and f_k = gcd(f_(k-1), f_(k-1)');
     the k-th level holds every root of multiplicity at least k once, so
     a repeated root is found once per level, and exactly when the level
-    is linear.  The roots are returned sorted by real then imaginary
-    part.  The power sums of the computed roots are checked against the
-    exact traces; a relative residual above ``SPECTRUM_RESIDUAL_BOUND``
-    raises DomainError.
+    is linear.  Sturm's theorem counts each level's real roots exactly,
+    and that many of its roots, the ones nearest the real axis, come back
+    with imaginary part exactly 0.  The roots are returned sorted by real
+    then imaginary part.  The power sums of the computed roots are
+    checked against the exact traces; a relative residual above
+    ``SPECTRUM_RESIDUAL_BOUND`` raises DomainError.
     """
     power_sums = invariants_potential(n).as_tuple()
     e1, e2, e3, e4 = _newton(power_sums, 4)[0]
@@ -403,7 +422,10 @@ def reconstruct_spectrum(n: SymmetricPotentialMatrix):
         d = level.degree
         derivative = BinaryForm([(d - k) * c for k, c in enumerate(level.coeffs[:-1])])
         deeper = binary_form_gcd([level, derivative])
-        roots += _simple_roots(_poly_divmod(level.coeffs, deeper.coeffs)[0])
+        factor = _poly_divmod(level.coeffs, deeper.coeffs)[0]
+        found = sorted(_simple_roots(factor), key=lambda z: abs(z.imag))
+        real = _real_root_count(factor)
+        roots += [complex(z.real, 0.0) for z in found[:real]] + found[real:]
         level = deeper
     roots.sort(key=lambda z: (z.real, z.imag))
     worst = 0.0

@@ -13,7 +13,7 @@ point of the weighted projective space with weights (2, 4, 4, 6).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError, SchemaError
@@ -113,19 +113,19 @@ class Quintuple:
 
     @classmethod
     def from_json(cls, doc) -> "Quintuple":
-        if not isinstance(doc, list):
-            raise SchemaError("quintuple document must be a nested array")
-        try:
-            entries = [
-                [
-                    [[scalar_from_json(doc[i][j][k][l]) for l in range(2)] for k in range(2)]
-                    for j in range(2)
-                ]
-                for i in range(2)
+        """Decode the leaves of w[i][j][k][l]; the constructor checks the shape."""
+
+        def lists(node):
+            if not isinstance(node, list):
+                raise SchemaError("quintuple document must be a nested array")
+            return node
+
+        return cls(
+            [
+                [[[scalar_from_json(x) for x in lists(c)] for c in lists(b)] for b in lists(a)]
+                for a in lists(doc)
             ]
-        except (TypeError, IndexError, KeyError) as exc:
-            raise SchemaError("quintuple document must be a full 2x2x2x2 array") from exc
-        return cls(entries)
+        )
 
 
 def linear_reference_quintuple() -> Quintuple:
@@ -268,76 +268,46 @@ def weighted_point_equal(p: WeightedPoint, q: WeightedPoint) -> bool:
     return all(r == nu ** (w // g) for r, w in zip(ratios, weights))
 
 
-def _contraction_slices(q: Quintuple, j: int) -> List[List[List[GaussianRational]]]:
-    """The four 2x2 slices obtained by keeping slots j, j+1 (cyclically) free.
-
-    Slices are listed by the two frozen indices in PAIR_INDEX order; the
-    result s[m][alpha][beta] has alpha in slot j and beta in slot j+1.
-    """
-    out = []
-    for k0, k1 in PAIR_INDEX:
-        if j == 0:
-            s = [[q[a, b, k0, k1] for b in range(2)] for a in range(2)]
-        elif j == 1:
-            s = [[q[k0, a, b, k1] for b in range(2)] for a in range(2)]
-        elif j == 2:
-            s = [[q[k0, k1, a, b] for b in range(2)] for a in range(2)]
-        else:
-            s = [[q[b, k0, k1, a] for b in range(2)] for a in range(2)]
-        out.append(s)
-    return out
-
-
 def geometricity_minors(q: Quintuple, j: int) -> List[BinaryForm]:
-    """Six quadratic binary forms: the 2x2 minors of the slot-j slice stack.
+    """Six quadratic binary forms: the 2x2 minors of the slot-j contraction.
 
-    Contracting slot j against a variable vector (u1, u2) turns each
-    slice into a row of two linear forms in u1, u2; stacking the four
-    rows gives a 4x2 matrix of linear forms whose six maximal minors are
-    the returned quadratics.
+    Slot j carries the variables (u1, u2), slot j + 1 (mod 4) is the
+    column, and the other two slots, in increasing slot order, index the
+    four rows in PAIR_INDEX order.  Every entry of this 4x2 matrix is a
+    linear form in u1, u2; the minors come in row-pair order (0, 1),
+    (0, 2), ..., (2, 3).
     """
-    slices = _contraction_slices(q, j)
-    # row m: (sum_a u_a * s[m][a][0], sum_a u_a * s[m][a][1]) as linear forms
-    rows = []
-    for s in slices:
-        left = (s[0][0], s[1][0])  # coefficients of u1, u2
-        right = (s[0][1], s[1][1])
-        rows.append((left, right))
-
-    def _lin_mul(f, g) -> BinaryForm:
-        return BinaryForm(
-            [f[0] * g[0], f[0] * g[1] + f[1] * g[0], f[1] * g[1]]
-        )
-
-    minors = []
-    for m, n in combinations(range(4), 2):
-        lm, rm = rows[m]
-        ln, rn = rows[n]
-        det = BinaryForm(
+    col = (j + 1) % 4
+    slots = (j, col) + tuple(s for s in range(4) if s not in (j, col))
+    # rows[m][a][c]: the u_(a+1) coefficient in row m, column c
+    rows = [[[None, None], [None, None]] for _ in PAIR_INDEX]
+    for index in product(range(2), repeat=4):
+        a, c, k0, k1 = (index[s] for s in slots)
+        rows[2 * k0 + k1][a][c] = q[index]
+    return [
+        BinaryForm(
             [
-                a - b
-                for a, b in zip(_lin_mul(lm, rn).coeffs, _lin_mul(rm, ln).coeffs)
+                x[0][0] * y[0][1] - x[0][1] * y[0][0],
+                x[0][0] * y[1][1] + x[1][0] * y[0][1] - x[0][1] * y[1][0] - x[1][1] * y[0][0],
+                x[1][0] * y[1][1] - x[1][1] * y[1][0],
             ]
         )
-        minors.append(det)
-    return minors
+        for x, y in combinations(rows, 2)
+    ]
 
 
 def is_geometric(q: Quintuple) -> Tuple[bool, Optional[int]]:
     """Whether all four slot contractions are base point free.
 
-    For each slot j the six minors of the contracted slice stack must be
-    not all zero and must have constant GCD; the first slot violating
-    this is reported alongside False.
+    Slot j passes when the gcd of its six minors is a nonzero constant:
+    a zero gcd (every minor vanishes) or one of positive degree leaves a
+    common zero.  The first failing slot is reported alongside False.
     """
     if q.is_zero():
         raise DomainError("geometricity of the zero tensor is not defined")
     for j in range(4):
-        minors = geometricity_minors(q, j)
-        if all(f.is_zero() for f in minors):
-            return False, j
-        gcd = binary_form_gcd(minors)
-        if not gcd.is_constant():
+        gcd = binary_form_gcd(geometricity_minors(q, j))
+        if gcd.degree or gcd.is_zero():
             return False, j
     return True, None
 

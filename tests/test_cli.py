@@ -69,6 +69,19 @@ def test_classify_quintuple_linear_reference(tmp_path, capsys):
     assert doc["invariants"] == {"f2": "4", "f4": "4", "g4": "1", "f6": "4"}
 
 
+def test_malformed_quintuple_documents_exit_2(tmp_path, capsys):
+    # a third top-level element, and the string "12" in place of a leaf pair
+    extra = LINEAR_QUINTUPLE + [LINEAR_QUINTUPLE[0]]
+    packed = json.loads(json.dumps(LINEAR_QUINTUPLE))
+    packed[1][1][0] = "12"
+    for k, doc in enumerate((extra, packed)):
+        src = _write(tmp_path, f"bad{k}.json", doc)
+        assert main(["classify-quintuple", "-i", src]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+
+
 def test_map_potential(tmp_path, capsys):
     src = _write(tmp_path, "phi.json", CLASSICAL)
     code, out = _run(capsys, ["map-potential", "-i", src])
@@ -250,6 +263,14 @@ def test_acceptance_json_mode(tmp_path, capsys):
     entries = json.loads(out_path.read_text())
     assert [e["index"] for e in entries] == list(range(1, 9))
     assert all(e["passed"] for e in entries)
+
+
+def test_acceptance_refuses_non_positive_samples(capsys):
+    for samples in ("0", "-3"):
+        assert main(["--samples", samples, "acceptance"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: --samples must be positive, got {samples}\n"
 
 
 def test_acceptance_table_mode(capsys):

@@ -6,7 +6,6 @@ from math import gcd
 from random import Random
 
 import pytest
-import sympy
 
 from ncmoduli.errors import SchemaError
 from ncmoduli.exact import (
@@ -31,6 +30,7 @@ def _rand_gaussian(rng, span=9, maxden=7):
 
 
 def _to_sympy(g):
+    sympy = pytest.importorskip("sympy")
     return sympy.Rational(g.re) + sympy.Rational(g.im) * sympy.I
 
 
@@ -263,10 +263,12 @@ def _random_matrix(rng, n=4):
 
 
 def _sympy_matrix(m):
+    sympy = pytest.importorskip("sympy")
     return sympy.Matrix([[ _to_sympy(m[r, c]) for c in range(m.ncols)] for r in range(m.nrows)])
 
 
 def test_matrix_rank_matches_sympy():
+    pytest.importorskip("sympy")
     rng = Random(104)
     for _ in range(20):
         m = _random_matrix(rng)
@@ -289,6 +291,7 @@ def test_matrix_rank_matches_sympy():
 
 
 def test_matrix_det_matches_sympy():
+    sympy = pytest.importorskip("sympy")
     rng = Random(105)
     for _ in range(20):
         m = _random_matrix(rng)
@@ -304,6 +307,7 @@ def test_matrix_det_matches_sympy():
 
 
 def test_matrix_det_exact_on_awkward_denominators():
+    sympy = pytest.importorskip("sympy")
     hilbert = ExactMatrix(
         [[Fraction(1, r + c + 1) for c in range(5)] for r in range(5)]
     )
@@ -313,6 +317,7 @@ def test_matrix_det_exact_on_awkward_denominators():
 
 
 def test_matrix_nilpotency():
+    pytest.importorskip("sympy")
     rng = Random(106)
     strict = ExactMatrix(
         [[1 if c > r else 0 for c in range(4)] for r in range(4)]
@@ -349,6 +354,7 @@ def test_power_traces_match_explicit_powers():
 
 def _inverse(m):
     """Inverse via sympy, converted back; only used to build test fixtures."""
+    sympy = pytest.importorskip("sympy")
     inv = _sympy_matrix(m).inv()
     rows = []
     for r in range(m.nrows):

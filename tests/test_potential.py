@@ -316,7 +316,7 @@ def _reference_matrices(rng):
 def test_reconstruct_spectrum_matches_numpy_reference():
     """No refusal where numpy's companion-matrix roots pass the same check,
     and a worst relative power-sum residual of at most 1e-10."""
-    import numpy as np
+    np = pytest.importorskip("numpy")
 
     refused, worst, count = [], 0.0, 0
     for n in _reference_matrices(Random(55)):
@@ -351,6 +351,21 @@ def test_reconstruct_spectrum_splits_repeated_roots_exactly():
     roots = reconstruct_spectrum(n)
     assert roots[1:3] == [0.5, 0.5]
     assert abs(roots[0] + 2) < 1e-12 and abs(roots[3] - 3) < 1e-12
+
+
+def test_reconstruct_spectrum_real_roots_are_exactly_real():
+    """As many roots with imaginary part exactly 0 as the characteristic
+    polynomial of N J has real roots, counted with multiplicity by sympy."""
+    sympy = pytest.importorskip("sympy")
+    j = sympy.Matrix([[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]])
+    roots = reconstruct_spectrum(SymmetricPotentialMatrix.diagonal([1, 2, 3, 5]))
+    assert [z.imag for z in roots] == [0.0] * 4
+    for n in _reference_matrices(Random(55)):
+        if n.is_zero():
+            continue
+        nj = sympy.Matrix(4, 4, lambda r, c: sympy.Rational(n[r, c])) * j
+        real = sympy.real_roots(nj.charpoly())
+        assert sum(z.imag == 0.0 for z in reconstruct_spectrum(n)) == len(real), n
 
 
 def test_import_does_not_load_numpy():

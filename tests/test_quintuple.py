@@ -4,16 +4,16 @@ from fractions import Fraction
 from itertools import product
 from random import Random
 
-import numpy as np
 import pytest
 
 from ncmoduli.errors import DomainError, SchemaError
-from ncmoduli.exact import ExactMatrix, GaussianRational
+from ncmoduli.exact import BinaryForm, ExactMatrix, GaussianRational
 from ncmoduli.quintuple import (
     J_MATRIX,
     Quintuple,
     WeightedPoint,
     classify_stability,
+    geometricity_minors,
     invariants,
     is_geometric,
     linear_reference_quintuple,
@@ -171,6 +171,7 @@ def test_invariants_float_consistency_via_orthogonal_change():
     """The printed pairing diagonalizes to the identity after a column
     rescale by eighth roots of unity; in that frame the invariants are
     plain singular-trace data, checked here in floating point."""
+    np = pytest.importorskip("numpy")
     t = np.array(
         [
             [1, 0, 0, 1],
@@ -287,3 +288,103 @@ def test_json_roundtrip_and_schema():
         Quintuple.from_json([[[["1"]]]])
     with pytest.raises(SchemaError):
         Quintuple.from_json({"not": "a tensor"})
+    # a third top-level element, and the string "12" in place of a leaf pair
+    doc = q.to_json()
+    with pytest.raises(SchemaError):
+        Quintuple.from_json(doc + [doc[0]])
+    doc[1][1][0] = "12"
+    with pytest.raises(SchemaError):
+        Quintuple.from_json(doc)
+
+
+# _SLOT_ENTRY[j](w, a, c, k0, k1): the entry of w with a in slot j, c in
+# slot j + 1 (mod 4) and (k0, k1) in the other two slots, in slot order
+_SLOT_ENTRY = (
+    lambda w, a, c, k0, k1: w[a][c][k0][k1],
+    lambda w, a, c, k0, k1: w[k0][a][c][k1],
+    lambda w, a, c, k0, k1: w[k0][k1][a][c],
+    lambda w, a, c, k0, k1: w[c][k0][k1][a],
+)
+
+
+def _reference_minors(w, j):
+    """The six 2x2 minors of the slot-j contraction, from the definition.
+
+    Row m, column c of the contraction is sum_a u_(a+1) x[m][a][c]; the
+    minor of rows m < n is the sum over (a, b) of u_(a+1) u_(b+1) times
+    x[m][a][0] x[n][b][1] - x[m][a][1] x[n][b][0].
+    """
+    x = [
+        [[_SLOT_ENTRY[j](w, a, c, k0, k1) for c in range(2)] for a in range(2)]
+        for k0, k1 in product(range(2), repeat=2)
+    ]
+    minors = []
+    for m in range(4):
+        for n in range(m + 1, 4):
+            coeffs = [GaussianRational(0)] * 3
+            for a, b in product(range(2), repeat=2):
+                coeffs[a + b] += x[m][a][0] * x[n][b][1] - x[m][a][1] * x[n][b][0]
+            minors.append(BinaryForm(coeffs))
+    return minors
+
+
+def _span_rule(minors):
+    """Whether six binary quadratics have no common projective zero.
+
+    Their span has dimension 0 or 1: a single quadratic (or none) always
+    has a zero.  Dimension 3: the span holds u1^2 and u2^2.  Dimension 2:
+    the resultant of two independent members decides.
+    """
+    rank = ExactMatrix([f.coeffs for f in minors]).rank()
+    if rank != 2:
+        return rank == 3
+    f = next(f for f in minors if not f.is_zero())
+    g = next(g for g in minors if ExactMatrix([f.coeffs, g.coeffs]).rank() == 2)
+    (f0, f1, f2), (g0, g1, g2) = f.coeffs, g.coeffs
+    sylvester = ExactMatrix(
+        [[f0, f1, f2, 0], [0, f0, f1, f2], [g0, g1, g2, 0], [0, g0, g1, g2]]
+    )
+    return not sylvester.det().is_zero()
+
+
+def test_geometricity_matches_the_definition():
+    rng = Random(67)
+    scalars = [GaussianRational(v) for v in (0, 0, 0, 1, -1, 2)]
+    scalars += [GaussianRational(0, 1), GaussianRational(1, -1)]
+
+    def vector(n):
+        return [rng.choice(scalars) for _ in range(n)]
+
+    def flattening(m):
+        return [[[[m[2 * i + j][2 * k + l] for l in range(2)] for k in range(2)] for j in range(2)] for i in range(2)]
+
+    def rank_one():
+        u, v = vector(4), vector(4)
+        return [[x * y for y in v] for x in u]
+
+    verdicts = {}
+    checked = 0
+    while checked < 1200:
+        kind = checked % 4
+        if kind == 0:
+            w = flattening([vector(4) for _ in range(4)])
+        elif kind == 1:
+            w = flattening(rank_one())
+        elif kind == 2:
+            w = flattening([[x + y for x, y in zip(r, s)] for r, s in zip(rank_one(), rank_one())])
+        else:
+            a, b, c, d = (vector(2) for _ in range(4))
+            w = [[[[a[i] * b[j] * c[k] * d[l] for l in range(2)] for k in range(2)] for j in range(2)] for i in range(2)]
+        q = Quintuple(w)
+        if q.is_zero():
+            continue
+        expected = (True, None)
+        for j in range(4):
+            minors = _reference_minors(w, j)
+            assert geometricity_minors(q, j) == minors, (q, j)
+            if expected[0] and not _span_rule(minors):
+                expected = (False, j)
+        assert is_geometric(q) == expected, q
+        verdicts[expected] = verdicts.get(expected, 0) + 1
+        checked += 1
+    assert set(verdicts) == {(True, None), (False, 0), (False, 1), (False, 2), (False, 3)}, verdicts

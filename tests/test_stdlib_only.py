@@ -1,9 +1,11 @@
 """The package runs on the standard library alone.
 
-numpy is a test-only dependency: it serves reference checks in the tests,
-never the package.  The first test walks the syntax tree of every module
-with ``ast``, so an import nested inside a function counts too; the
-second blocks numpy outright and runs the code that once used it.
+numpy and sympy are test-only dependencies: they serve reference checks
+in the tests, never the package.  The first test walks the syntax tree of
+every module with ``ast``, so an import nested inside a function counts
+too; the second blocks numpy outright and runs the code that once used
+it; the third collects the whole suite with both blocked, since each test
+that needs one imports it with ``pytest.importorskip``.
 """
 
 import ast
@@ -72,3 +74,26 @@ def test_runs_with_numpy_blocked(tmp_path):
     spectrum, document = result.stdout.split("\n", 1)
     assert spectrum == "[(0.5+0j), (0.5+0j), (0.5+0j), (0.5+0j)]"
     assert '"covering_identities_ok": true' in document
+
+
+BLOCKED_EXTRAS_COLLECT = """
+import sys
+sys.modules["numpy"] = None
+sys.modules["sympy"] = None
+import pytest
+sys.exit(pytest.main(["--collect-only", "-q", "-p", "no:cacheprovider", "tests"]))
+"""
+
+
+def test_suite_collects_with_test_extras_blocked():
+    root = Path(__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", BLOCKED_EXTRAS_COLLECT],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    summary = result.stdout.strip().splitlines()[-1]
+    assert "collected" in summary and "error" not in summary, summary
