@@ -93,6 +93,15 @@ def _finish(index: int, name: str, started: float, ok: bool, detail: str) -> Cri
     return CriterionResult(index=index, name=name, passed=ok, seconds=elapsed, detail=detail)
 
 
+def _sample_size(samples: Optional[int], default: int) -> int:
+    """A sweep's size: ``default`` for None, else ``samples``, which must be positive."""
+    if samples is None:
+        return default
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
+    return samples
+
+
 def _random_fraction(rng: Random, span: int = 9, maxden: int = 9) -> Fraction:
     return Fraction(rng.randint(-span, span), rng.randint(1, maxden))
 
@@ -124,7 +133,7 @@ def criterion_1(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> Crit
     """Exact covering identities on seeded random symmetric matrices."""
     started = time.perf_counter()
     rng = Random(seed)
-    n_samples = samples or 200
+    n_samples = _sample_size(samples, 200)
     good = 0
     for _ in range(n_samples):
         n = _random_symmetric(rng)
@@ -140,7 +149,7 @@ def criterion_2(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> Crit
     """Each diagonal spectrum has exactly four preimages over its image point."""
     started = time.perf_counter()
     rng = Random(seed + 1)
-    n_samples = samples or 50
+    n_samples = _sample_size(samples, 50)
     good = 0
     for _ in range(n_samples):
         xs = set()
@@ -259,7 +268,7 @@ def criterion_6(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> Crit
             if translate(pair, translate(pair, pt, which), which) != pt:
                 problems.append(f"{which} is not an involution at lambda={lam}")
 
-    n_pairs = samples or 50
+    n_pairs = _sample_size(samples, 50)
     found = 0
     for _ in range(n_pairs):
         cfg = random_configuration(rng)
@@ -357,7 +366,7 @@ def criterion_8(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> Crit
     """Invariance of both invariant systems under special linear slot actions."""
     started = time.perf_counter()
     rng = Random(seed + 8)
-    n_samples = samples or 100
+    n_samples = _sample_size(samples, 100)
     problems = []
 
     tensor_ok = 0

@@ -13,19 +13,19 @@ carried as a pair (l0, l1) internally: membership in the curve is then
 preserved on the nose, without choosing square roots.  Public
 constructors normalize l1 = 1.
 
-The five generators are written once, as a table of homogeneous
-formulas.  The transforms evaluate the table on Q(i) values, and
-``verify_equation_preservation`` evaluates the same entries on
-polynomials, so the symbolic proof covers the formulas the transforms run.
+The five generators are written once, in one table of parameter and
+point formulas.  One evaluator computes point images from it on Q(i)
+values, and ``verify_equation_preservation`` evaluates the same entries
+on polynomials, so the symbolic proof covers the formulas the search runs.
 
 Curve membership is checked where a configuration enters the library:
 the ``EllipticConfiguration`` constructor, ``make_configuration`` and
-``random_configuration``.  The transforms ``apply_symmetry`` and
-``apply_group_element`` build their images without the check, because
-each generator maps the curve over a parameter onto the curve over the
-image parameter; ``verify_equation_preservation`` proves this as a
-polynomial identity.  An orbit search builds up to 192 images, and
-checking each of them would about double its cost.
+``random_configuration``.  ``apply_group_element``, the one transform of
+configurations, builds its images without the check, because each
+generator maps the curve over a parameter onto the curve over the image
+parameter; ``verify_equation_preservation`` proves this as a polynomial
+identity.  An orbit search builds up to 192 images, and checking each of
+them would about double its cost.
 
 Equality of points is literal field equality after a canonical
 projective normalization, so orbit search is an exact finite
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from random import Random
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -136,21 +137,28 @@ def two_torsion_points(lam: LambdaPair) -> Tuple[EllPoint, ...]:
     )
 
 
-# The five generators, each written once as homogeneous formulas.  A point
-# formula maps (l0, l1, X, Y, Z) to the image point (X', Y', Z'), and a
-# parameter formula maps (l0, l1) to (l0', l1'); the translations fix the
-# parameter.  The transforms below evaluate these on Q(i) values, and
-# verify_equation_preservation on polynomials.
-_TRANSLATIONS = {
-    "t1": lambda l0, l1, x, y, z: (l0 * (x - y), l1 * x - l0 * y, l0 * (l0 - l1) * z),
-    "t2": lambda l0, l1, x, y, z: (l0 * y - l1 * x, l1 * (y - x), l1 * (l0 - l1) * z),
-    "t3": lambda l0, l1, x, y, z: (l0 * y, l1 * x, l0 * l1 * z),
-}
-# name -> (parameter formula, point formula)
-_SYMMETRIES = {
+def _same_parameter(l0, l1):
+    return l0, l1
+
+
+# The five generators, each written once as homogeneous formulas:
+# name -> (parameter formula, point formula).  A parameter formula maps
+# (l0, l1) to (l0', l1'), and a point formula maps (l0, l1, X, Y, Z) to
+# the image point (X', Y', Z').  The translations fix the parameter.
+# _image_point evaluates the point formulas on Q(i) values, and
+# verify_equation_preservation evaluates both kinds on polynomials.
+_GENERATORS = {
+    "t1": (_same_parameter, lambda l0, l1, x, y, z: (l0 * (x - y), l1 * x - l0 * y, l0 * (l0 - l1) * z)),
+    "t2": (_same_parameter, lambda l0, l1, x, y, z: (l0 * y - l1 * x, l1 * (y - x), l1 * (l0 - l1) * z)),
+    "t3": (_same_parameter, lambda l0, l1, x, y, z: (l0 * y, l1 * x, l0 * l1 * z)),
     "swap": (lambda l0, l1: (l1, l0), lambda l0, l1, x, y, z: (y, x, z)),
     "complement": (lambda l0, l1: (l1 - l0, l1), lambda l0, l1, x, y, z: (y - x, y, GAUSSIAN_I * z)),
 }
+
+
+def _image_point(lam: LambdaPair, pt: EllPoint, which: str) -> EllPoint:
+    """The image of a point over ``lam`` under the generator ``which``."""
+    return EllPoint.make(*_GENERATORS[which][1](lam.l0, lam.l1, pt.x, pt.y, pt.z))
 
 
 def translate(lam: LambdaPair, pt: EllPoint, which: str) -> EllPoint:
@@ -159,24 +167,9 @@ def translate(lam: LambdaPair, pt: EllPoint, which: str) -> EllPoint:
     Each is an exact involution of the curve over its own parameter; the
     parameter itself is unchanged.
     """
-    formula = _TRANSLATIONS.get(which)
-    if formula is None:
+    if which not in TRANSLATION_NAMES:
         raise DomainError(f"unknown translation {which!r}")
-    return EllPoint.make(*formula(lam.l0, lam.l1, pt.x, pt.y, pt.z))
-
-
-def symmetry_pair(lam: LambdaPair, which: str) -> LambdaPair:
-    formulas = _SYMMETRIES.get(which)
-    if formulas is None:
-        raise DomainError(f"unknown parameter symmetry {which!r}")
-    return LambdaPair(*formulas[0](lam.l0, lam.l1))
-
-
-def symmetry_point(lam: LambdaPair, pt: EllPoint, which: str) -> EllPoint:
-    formulas = _SYMMETRIES.get(which)
-    if formulas is None:
-        raise DomainError(f"unknown parameter symmetry {which!r}")
-    return EllPoint.make(*formulas[1](lam.l0, lam.l1, pt.x, pt.y, pt.z))
+    return _image_point(lam, pt, which)
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,9 +177,9 @@ class EllipticConfiguration:
     """A parameter together with an ordered pair of curve points.
 
     The constructor raises ``DomainError`` when a point is off the curve.
-    The transforms in this module preserve membership exactly (see
-    ``verify_equation_preservation``), so they build their images with
-    ``_image_configuration`` and skip the check.
+    ``apply_group_element`` preserves membership exactly (see
+    ``verify_equation_preservation``), so it builds its images with
+    ``_unchecked`` and skips the check.
     """
 
     lam: LambdaPair
@@ -199,17 +192,16 @@ class EllipticConfiguration:
                 raise DomainError(f"{label} point does not lie on the curve")
 
 
-def _image_configuration(lam: LambdaPair, p1: EllPoint, p2: EllPoint) -> EllipticConfiguration:
-    """A configuration built without the membership check.
+def _unchecked(cls, *values):
+    """A ``LambdaPair`` or ``EllipticConfiguration`` built without its check.
 
-    Only for the image of a configuration under the transforms of this
-    module, which map curve points to curve points.
+    Only for images under the generators, which keep a parameter
+    nondegenerate and a point on the curve.
     """
-    cfg = object.__new__(EllipticConfiguration)
-    object.__setattr__(cfg, "lam", lam)
-    object.__setattr__(cfg, "p1", p1)
-    object.__setattr__(cfg, "p2", p2)
-    return cfg
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def make_configuration(
@@ -227,14 +219,6 @@ def is_admissible(cfg: EllipticConfiguration) -> bool:
     return not cfg.p2.z.is_zero()
 
 
-def apply_symmetry(cfg: EllipticConfiguration, which: str) -> EllipticConfiguration:
-    return _image_configuration(
-        symmetry_pair(cfg.lam, which),
-        symmetry_point(cfg.lam, cfg.p1, which),
-        symmetry_point(cfg.lam, cfg.p2, which),
-    )
-
-
 def apply_group_element(
     cfg: EllipticConfiguration,
     lambda_word: Sequence[str] = (),
@@ -243,15 +227,22 @@ def apply_group_element(
     flip: bool = False,
 ) -> EllipticConfiguration:
     """Apply a parameter-symmetry word (left to right), then translations."""
-    out = cfg
+    lam, p1, p2 = cfg.lam, cfg.p1, cfg.p2
     for step in lambda_word:
-        out = apply_symmetry(out, step)
-    p1 = translate(out.lam, out.p1, translate_first) if translate_first else out.p1
-    p2 = translate(out.lam, out.p2, translate_second) if translate_second else out.p2
+        if step in TRANSLATION_NAMES or step not in _GENERATORS:
+            raise DomainError(f"unknown parameter symmetry {step!r}")
+        # The symmetries permute {0, 1, infinity}, so the image of a
+        # nondegenerate parameter is nondegenerate and needs no re-test.
+        image = _unchecked(LambdaPair, *_GENERATORS[step][0](lam.l0, lam.l1))
+        p1, p2 = _image_point(lam, p1, step), _image_point(lam, p2, step)
+        lam = image
+    if translate_first:
+        p1 = translate(lam, p1, translate_first)
+    if translate_second:
+        p2 = translate(lam, p2, translate_second)
     if flip:
-        p1 = p1.flipped()
-        p2 = p2.flipped()
-    return _image_configuration(out.lam, p1, p2)
+        p1, p2 = p1.flipped(), p2.flipped()
+    return _unchecked(EllipticConfiguration, lam, p1, p2)
 
 
 def orbit_equivalent(
@@ -272,19 +263,9 @@ def orbit_equivalent(
             raise DomainError("orbit comparison needs admissible configurations")
     translations: Tuple[Optional[str], ...] = (None,) + TRANSLATION_NAMES
     flips = (False, True) if include_involution else (False,)
-    for word in LAMBDA_WORDS:
-        for tr1 in translations:
-            for tr2 in translations:
-                for flip in flips:
-                    image = apply_group_element(first, word, tr1, tr2, flip)
-                    if image == second:
-                        witness = {
-                            "lambda_word": list(word),
-                            "translate_first": tr1,
-                            "translate_second": tr2,
-                            "flip": flip,
-                        }
-                        return True, witness
+    for word, tr1, tr2, flip in product(LAMBDA_WORDS, translations, translations, flips):
+        if apply_group_element(first, word, tr1, tr2, flip) == second:
+            return True, {"lambda_word": list(word), "translate_first": tr1, "translate_second": tr2, "flip": flip}
     return False, None
 
 
@@ -418,11 +399,9 @@ def verify_equation_preservation() -> Dict[str, bool]:
     Z'^2 = RHS'.
     """
     L0, L1, X, Y, Z = (_Poly({tuple(int(j == k) for j in range(5)): _ONE}) for k in range(5))
-    images = {name: ((L0, L1), f(L0, L1, X, Y, Z)) for name, f in _TRANSLATIONS.items()}
-    for name, (pair, point) in _SYMMETRIES.items():
-        images[name] = (pair(L0, L1), point(L0, L1, X, Y, Z))
     rhs = curve_rhs(L0, L1, X, Y)
-    return {
-        name: z * z * rhs == curve_rhs(*pair, x, y) * Z * Z
-        for name, (pair, (x, y, z)) in images.items()
-    }
+    results = {}
+    for name, (pair, point) in _GENERATORS.items():
+        x, y, z = point(L0, L1, X, Y, Z)
+        results[name] = z * z * rhs == curve_rhs(*pair(L0, L1), x, y) * Z * Z
+    return results

@@ -1,10 +1,12 @@
-"""The eight acceptance criteria, one test each.
+"""The eight acceptance criteria, one test each, and their sample sizes.
 
-Every test prints the criterion's single status line (visible under
-pytest -s or on failure) and asserts the pass flag.  Seeds, sample
+Every criterion test prints the criterion's single status line (visible
+under pytest -s or on failure) and asserts the pass flag.  Seeds, sample
 counts and time budgets live in the acceptance module itself, so the
 full criteria run here, not reduced stand-ins.
 """
+
+import pytest
 
 from ncmoduli import acceptance
 
@@ -44,3 +46,11 @@ def test_criterion_7():
 
 def test_criterion_8():
     _check(acceptance.criterion_8())
+
+
+def test_non_positive_sample_sizes_raise():
+    # None keeps the default sizes; 0 used to run them and -3 reported FAIL
+    with pytest.raises(ValueError, match="samples must be positive, got 0"):
+        acceptance.criterion_1(samples=0)
+    with pytest.raises(ValueError, match="samples must be positive, got -3"):
+        acceptance.run_acceptance(samples=-3)

@@ -15,7 +15,6 @@ from ncmoduli.elliptic import (
     LAMBDA_WORDS,
     LambdaPair,
     apply_group_element,
-    apply_symmetry,
     is_admissible,
     make_configuration,
     on_curve,
@@ -24,8 +23,6 @@ from ncmoduli.elliptic import (
     point_multiple,
     random_configuration,
     random_curve_point,
-    symmetry_pair,
-    symmetry_point,
     translate,
     two_torsion_points,
     verify_equation_preservation,
@@ -45,15 +42,28 @@ def test_symbolic_equation_preservation():
 
 
 def test_symbolic_check_reads_the_transform_table(monkeypatch):
+    cfg = random_configuration(Random(66))
+    same_parameter = elliptic._GENERATORS["t3"][0]
+    complement_point = elliptic._GENERATORS["complement"][1]
     # a wrong Z factor in t3 (l0 instead of l0*l1) fails the symbolic
     # check, and translate runs the same wrong formula
-    monkeypatch.setitem(elliptic._TRANSLATIONS, "t3", lambda l0, l1, x, y, z: (l0 * y, l1 * x, l0 * z))
+    with monkeypatch.context() as patch:
+        patch.setitem(elliptic._GENERATORS, "t3", (same_parameter, lambda l0, l1, x, y, z: (l0 * y, l1 * x, l0 * z)))
+        results = verify_equation_preservation()
+        assert results["t3"] is False
+        assert all(ok for name, ok in results.items() if name != "t3")
+        # the swap image has l1 = lambda != 1, where the two factors differ
+        swapped = apply_group_element(cfg, ("swap",))
+        assert not on_curve(swapped.lam, translate(swapped.lam, swapped.p1, "t3"))
+    # a wrong parameter formula for complement, lambda -> lambda - 1,
+    # fails the proof for complement only, and apply_group_element runs it
+    monkeypatch.setitem(elliptic._GENERATORS, "complement", (lambda l0, l1: (l0 - l1, l1), complement_point))
     results = verify_equation_preservation()
-    assert results["t3"] is False
-    assert all(ok for name, ok in results.items() if name != "t3")
-    # the swap image has l1 = lambda != 1, where the two factors differ
-    cfg = apply_symmetry(random_configuration(Random(66)), "swap")
-    assert not on_curve(cfg.lam, translate(cfg.lam, cfg.p1, "t3"))
+    assert results["complement"] is False
+    assert all(ok for name, ok in results.items() if name != "complement")
+    image = apply_group_element(cfg, ("complement",))
+    assert image.lam.affine == cfg.lam.affine - 1
+    assert not on_curve(image.lam, image.p1)
 
 
 def test_lambda_pair_validation():
@@ -121,7 +131,7 @@ def test_symmetries_preserve_membership_with_pairs():
     for k in range(15):
         cfg = random_configuration(rng)
         for which in ("swap", "complement"):
-            out = apply_symmetry(cfg, which)
+            out = apply_group_element(cfg, (which,))
             assert on_curve(out.lam, out.p1)
             assert on_curve(out.lam, out.p2)
         if k % 3:
@@ -131,8 +141,11 @@ def test_symmetries_preserve_membership_with_pairs():
             assert on_curve(out.lam, out.p1), (word, tr1, tr2, flip)
             assert on_curve(out.lam, out.p2), (word, tr1, tr2, flip)
     pair = LambdaPair.from_affine(Fraction(3, 4))
-    assert symmetry_pair(pair, "swap") == LambdaPair(GaussianRational(1), GaussianRational(Fraction(3, 4)))
-    assert symmetry_pair(pair, "complement") == LambdaPair(
+    torsion = EllipticConfiguration(pair, *two_torsion_points(pair)[:2])
+    assert apply_group_element(torsion, ("swap",)).lam == LambdaPair(
+        GaussianRational(1), GaussianRational(Fraction(3, 4))
+    )
+    assert apply_group_element(torsion, ("complement",)).lam == LambdaPair(
         GaussianRational(Fraction(1, 4)), GaussianRational(1)
     )
 
@@ -140,10 +153,21 @@ def test_symmetries_preserve_membership_with_pairs():
 def test_double_complement_is_the_flip():
     rng = Random(64)
     cfg = random_configuration(rng)
-    twice = apply_symmetry(apply_symmetry(cfg, "complement"), "complement")
+    twice = apply_group_element(apply_group_element(cfg, ("complement",)), ("complement",))
     assert twice.lam == cfg.lam
     assert twice.p1 == cfg.p1.flipped()
     assert twice.p2 == cfg.p2.flipped()
+
+
+def test_group_element_refuses_unknown_generators():
+    cfg = random_configuration(Random(73))
+    for step in ("rotate", "t1"):
+        with pytest.raises(DomainError, match=f"unknown parameter symmetry '{step}'"):
+            apply_group_element(cfg, ("swap", step))
+    with pytest.raises(DomainError, match="unknown translation 't9'"):
+        apply_group_element(cfg, (), "t9")
+    with pytest.raises(DomainError, match="unknown translation 'swap'"):
+        apply_group_element(cfg, ("complement",), None, "swap")
 
 
 def test_configuration_validation():
@@ -259,7 +283,7 @@ def _undo_witness(cfg, witness):
     p2 = translate(out.lam, out.p2, tr2) if tr2 else out.p2
     out = EllipticConfiguration(out.lam, p1, p2)
     for step in reversed(witness["lambda_word"]):
-        out = apply_symmetry(out, step)
+        out = apply_group_element(out, (step,))
         if step == "complement":
             out = EllipticConfiguration(
                 out.lam, out.p1.flipped(), out.p2.flipped()
@@ -310,14 +334,17 @@ def test_orbit_asymmetry_for_mixed_translations():
 
 
 def _reference_group_element(cfg, word, tr1, tr2, flip):
-    """``apply_group_element`` with every step built by the checked constructor."""
+    """``apply_group_element`` with every step built by the checked constructors.
+
+    Each single step is rebuilt through ``LambdaPair`` and
+    ``EllipticConfiguration``, so a degenerate image parameter or an image
+    point off the curve raises here even though the fast path skips both
+    checks.
+    """
     out = cfg
     for step in word:
-        out = EllipticConfiguration(
-            symmetry_pair(out.lam, step),
-            symmetry_point(out.lam, out.p1, step),
-            symmetry_point(out.lam, out.p2, step),
-        )
+        image = apply_group_element(out, (step,))
+        out = EllipticConfiguration(LambdaPair(image.lam.l0, image.lam.l1), image.p1, image.p2)
     p1 = translate(out.lam, out.p1, tr1) if tr1 else out.p1
     p2 = translate(out.lam, out.p2, tr2) if tr2 else out.p2
     if flip:
