@@ -7,148 +7,69 @@ as a four-index tensor realizes a degree-4 covering onto the tensor
 moduli.  Around that sit the Jacobi-algebra graded dimensions, an orbit
 calculus for quadruples of points on a genus-one pencil, and prime-field
 point counts of framed representation spaces.
+
+``import ncmoduli`` loads no submodule.  Each public name lives in one
+submodule (``_EXPORTS``), which is imported the first time the name or
+the submodule is read; the value is then kept in this module, so later
+reads are plain attribute lookups.  The public names are the same as
+when the package imported everything up front.
 """
 
-from .errors import DomainError, SchemaError
-from .exact import (
-    BinaryForm,
-    ExactMatrix,
-    GaussianRational,
-    PrimeFieldElement,
-    binary_form_gcd,
-    scalar_from_json,
-    scalar_to_json,
-)
-from .quiver import (
-    AlgebraElement,
-    CyclicPotential,
-    Path,
-    Quiver,
-    conifold_potential,
-    conifold_quiver,
-    double_cover_quiver,
-    framed_conifold_quiver,
-    graded_dimension,
-    jacobi_generators,
-    partial_derivative,
-    potential_double_cover,
-)
-from .quintuple import (
-    J_MATRIX,
-    Quintuple,
-    QuintupleInvariants,
-    WeightedPoint,
-    classify_stability,
-    invariants,
-    is_geometric,
-    linear_reference_quintuple,
-    slot_transform,
-    weighted_point,
-    weighted_point_equal,
-)
-from .potential import (
-    FiberReport,
-    PotentialInvariants,
-    SymmetricPotentialMatrix,
-    classify_stability_potential,
-    fiber_experiment,
-    invariants_potential,
-    potential_to_quintuple,
-    potential_to_sym_matrix,
-    reconstruct_spectrum,
-    sym_matrix_to_potential,
-    verify_covering_identities,
-    weighted_point_potential,
-)
-from .elliptic import (
-    EllipticConfiguration,
-    EllPoint,
-    LambdaPair,
-    apply_group_element,
-    is_admissible,
-    make_configuration,
-    orbit_equivalent,
-    translate,
-    two_torsion_points,
-    verify_equation_preservation,
-)
-from .dtcount import (
-    CountReport,
-    FramedRep,
-    StabilityParameter,
-    count_points,
-    counting_report,
-    default_stability,
-    is_theta_stable,
-    satisfies_relations,
-)
-from .acceptance import CriterionResult, run_acceptance
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraElement",
-    "BinaryForm",
-    "CountReport",
-    "CriterionResult",
-    "CyclicPotential",
-    "DomainError",
-    "EllipticConfiguration",
-    "EllPoint",
-    "ExactMatrix",
-    "FiberReport",
-    "FramedRep",
-    "GaussianRational",
-    "J_MATRIX",
-    "LambdaPair",
-    "Path",
-    "PotentialInvariants",
-    "PrimeFieldElement",
-    "Quintuple",
-    "QuintupleInvariants",
-    "Quiver",
-    "SchemaError",
-    "StabilityParameter",
-    "SymmetricPotentialMatrix",
-    "WeightedPoint",
-    "apply_group_element",
-    "binary_form_gcd",
-    "classify_stability",
-    "classify_stability_potential",
-    "conifold_potential",
-    "conifold_quiver",
-    "count_points",
-    "counting_report",
-    "default_stability",
-    "double_cover_quiver",
-    "fiber_experiment",
-    "framed_conifold_quiver",
-    "graded_dimension",
-    "invariants",
-    "invariants_potential",
-    "is_admissible",
-    "is_geometric",
-    "is_theta_stable",
-    "jacobi_generators",
-    "linear_reference_quintuple",
-    "make_configuration",
-    "orbit_equivalent",
-    "partial_derivative",
-    "potential_double_cover",
-    "potential_to_quintuple",
-    "potential_to_sym_matrix",
-    "reconstruct_spectrum",
-    "run_acceptance",
-    "satisfies_relations",
-    "scalar_from_json",
-    "scalar_to_json",
-    "slot_transform",
-    "sym_matrix_to_potential",
-    "translate",
-    "two_torsion_points",
-    "verify_covering_identities",
-    "verify_equation_preservation",
-    "weighted_point",
-    "weighted_point_equal",
-    "weighted_point_potential",
-]
+_EXPORTS = {
+    "errors": ("DomainError", "SchemaError"),
+    "exact": (
+        "BinaryForm", "ExactMatrix", "GaussianRational", "PrimeFieldElement",
+        "binary_form_gcd", "scalar_from_json", "scalar_to_json",
+    ),
+    "quiver": (
+        "AlgebraElement", "CyclicPotential", "Path", "Quiver", "conifold_potential",
+        "conifold_quiver", "double_cover_quiver", "framed_conifold_quiver",
+        "graded_dimension", "jacobi_generators", "partial_derivative",
+        "potential_double_cover",
+    ),
+    "quintuple": (
+        "J_MATRIX", "Quintuple", "QuintupleInvariants", "WeightedPoint",
+        "classify_stability", "invariants", "is_geometric",
+        "linear_reference_quintuple", "slot_transform", "weighted_point",
+        "weighted_point_equal",
+    ),
+    "potential": (
+        "FiberReport", "PotentialInvariants", "SymmetricPotentialMatrix",
+        "classify_stability_potential", "fiber_experiment", "invariants_potential",
+        "potential_to_quintuple", "potential_to_sym_matrix", "reconstruct_spectrum",
+        "sym_matrix_to_potential", "verify_covering_identities",
+        "weighted_point_potential",
+    ),
+    "elliptic": (
+        "EllipticConfiguration", "EllPoint", "LambdaPair", "apply_group_element",
+        "is_admissible", "make_configuration", "orbit_equivalent", "translate",
+        "two_torsion_points", "verify_equation_preservation",
+    ),
+    "dtcount": (
+        "CountReport", "FramedRep", "StabilityParameter", "count_points",
+        "counting_report", "default_stability", "is_theta_stable",
+        "satisfies_relations",
+    ),
+    "acceptance": ("CriterionResult", "run_acceptance"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        # importing a submodule binds it here as well
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS) | set(_HOME))

@@ -4,7 +4,8 @@ All numeric payloads travel as strings ("p/q" for rationals, re/im pairs
 for Q(i)); output JSON is emitted with sorted keys and a fixed layout so
 repeated runs are byte-identical.  Exit codes: 0 on success, 2 for
 malformed input documents, 3 for domain violations; the acceptance
-subcommand exits 1 when a criterion fails.
+subcommand exits 1 when a criterion fails.  Each handler imports the
+modules it computes with, so a subcommand loads only those.
 """
 
 from __future__ import annotations
@@ -13,35 +14,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from .acceptance import DEFAULT_SEED, run_acceptance
-from .dtcount import StabilityParameter, counting_report
-from .elliptic import (
-    EllipticConfiguration,
-    EllPoint,
-    LambdaPair,
-    on_curve,
-    orbit_equivalent,
-)
 from .errors import DomainError, SchemaError
-from .exact import rational_from_json, scalar_from_json, scalar_to_json
-from .potential import (
-    classify_stability_potential,
-    invariants_potential,
-    potential_to_quintuple,
-    potential_to_sym_matrix,
-    verify_covering_identities,
-    weighted_point_potential,
-)
-from .quintuple import (
-    Quintuple,
-    classify_stability,
-    invariants,
-    is_geometric,
-    weighted_point,
-)
-from .quiver import CyclicPotential, conifold_quiver, graded_dimension
 
 
 def _read_document(path: str):
@@ -68,8 +43,11 @@ def _write_document(doc, path: str) -> None:
             fh.write(text)
 
 
-def potential_from_json(doc) -> CyclicPotential:
-    """A potential document: a list of {"cycle": [labels], "coeff": "p/q"}."""
+def potential_from_json(doc):
+    """The ``CyclicPotential`` of a list of {"cycle": [labels], "coeff": "p/q"}."""
+    from .exact import rational_from_json
+    from .quiver import CyclicPotential, conifold_quiver
+
     if not isinstance(doc, list):
         raise SchemaError("potential document must be a list of terms")
     terms = {}
@@ -86,13 +64,16 @@ def potential_from_json(doc) -> CyclicPotential:
     return CyclicPotential(quiver, terms)
 
 
-def _configuration_parts(doc) -> Tuple[LambdaPair, EllPoint, EllPoint]:
+def _configuration_parts(doc):
     """The parameter and both points of a configuration document.
 
     The whole document is read before any value is checked, so a malformed
     document is a ``SchemaError`` even when a value in it is also out of
     range.  Curve membership is not checked here.
     """
+    from .elliptic import EllPoint, LambdaPair
+    from .exact import scalar_from_json
+
     if not isinstance(doc, dict) or not {"lambda", "p1", "p2"} <= set(doc):
         raise SchemaError("configuration needs lambda, p1 and p2")
     lam = scalar_from_json(doc["lambda"])
@@ -106,6 +87,8 @@ def _configuration_parts(doc) -> Tuple[LambdaPair, EllPoint, EllPoint]:
 
 
 def _cmd_classify_quintuple(args) -> int:
+    from .quintuple import Quintuple, classify_stability, invariants, is_geometric, weighted_point
+
     doc = _read_document(args.input)
     q = Quintuple.from_json(doc)
     inv = invariants(q)
@@ -128,6 +111,13 @@ def _cmd_classify_quintuple(args) -> int:
 
 
 def _cmd_classify_potential(args) -> int:
+    from .potential import (
+        classify_stability_potential,
+        invariants_potential,
+        potential_to_sym_matrix,
+        weighted_point_potential,
+    )
+
     doc = _read_document(args.input)
     n = potential_to_sym_matrix(potential_from_json(doc))
     inv = invariants_potential(n)
@@ -148,6 +138,9 @@ def _cmd_classify_potential(args) -> int:
 
 
 def _cmd_map_potential(args) -> int:
+    from .potential import potential_to_quintuple, potential_to_sym_matrix, verify_covering_identities
+    from .quintuple import invariants
+
     doc = _read_document(args.input)
     n = potential_to_sym_matrix(potential_from_json(doc))
     image = potential_to_quintuple(n)
@@ -164,6 +157,8 @@ def _cmd_map_potential(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
+    from .quiver import graded_dimension
+
     doc = _read_document(args.input)
     phi = potential_from_json(doc)
     dims = graded_dimension(phi, args.source, args.target, args.max_length)
@@ -172,6 +167,9 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_elliptic_check(args) -> int:
+    from .elliptic import on_curve
+    from .exact import scalar_to_json
+
     pair, *points = _configuration_parts(_read_document(args.input))
     memberships = [on_curve(pair, pt) for pt in points]
     _write_document(
@@ -187,6 +185,8 @@ def _cmd_elliptic_check(args) -> int:
 
 
 def _cmd_elliptic_orbit_test(args) -> int:
+    from .elliptic import EllipticConfiguration, orbit_equivalent
+
     doc = _read_document(args.input)
     if not isinstance(doc, dict) or not {"first", "second"} <= set(doc):
         raise SchemaError("orbit test needs first and second configurations")
@@ -207,6 +207,8 @@ def _parse_int_list(text: str, what: str):
 
 
 def _cmd_dt_count(args) -> int:
+    from .dtcount import StabilityParameter, counting_report
+
     doc = _read_document(args.potential)
     phi = potential_from_json(doc)
     primes = _parse_int_list(args.primes, "prime")
@@ -223,9 +225,12 @@ def _cmd_dt_count(args) -> int:
 
 
 def _cmd_acceptance(args) -> int:
+    from .acceptance import DEFAULT_SEED, run_acceptance
+
     if args.samples is not None and args.samples < 1:
         raise SchemaError(f"--samples must be positive, got {args.samples}")
-    results = run_acceptance(seed=args.seed, samples=args.samples)
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    results = run_acceptance(seed=seed, samples=args.samples)
     if args.json:
         _write_document([r.to_json() for r in results], args.output)
     else:
@@ -244,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ncmoduli",
         description="Exact moduli computations for conifold potentials and 2x2x2x2 tensors",
     )
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for sampled sweeps")
+    parser.add_argument("--seed", type=int, default=None, help="seed for sampled sweeps")
     parser.add_argument("--samples", type=int, default=None, help="override sweep sample counts")
     sub = parser.add_subparsers(dest="command", required=True)
 

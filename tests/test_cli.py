@@ -2,9 +2,12 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from ncmoduli.cli import main
 
@@ -23,6 +26,14 @@ def _write(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def _source_env():
+    """The environment for a child interpreter that imports the package from ``src/``."""
+    env = dict(os.environ)
+    src_dir = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def _run(capsys, argv):
@@ -99,14 +110,11 @@ def test_map_potential(tmp_path, capsys):
 def test_package_runs_as_a_module(tmp_path):
     """``python -m ncmoduli`` prints the same bytes as ``python -m ncmoduli.cli``."""
     src = _write(tmp_path, "phi.json", CLASSICAL)
-    env = dict(os.environ)
-    src_dir = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
     outputs = []
     for module in ("ncmoduli", "ncmoduli.cli"):
         result = subprocess.run(
             [sys.executable, "-m", module, "classify-potential", "-i", src],
-            env=env,
+            env=_source_env(),
             capture_output=True,
             timeout=60,
         )
@@ -114,6 +122,69 @@ def test_package_runs_as_a_module(tmp_path):
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])["f"] == ["2", "1", "1/2", "1/4"]
+
+
+# Each subcommand loads the modules it computes with and the ones those
+# import, nothing more: (argv, input document, ncmoduli.* modules loaded).
+# The document path goes last, after -i or --potential.
+POTENTIAL_MODULES = ["cli", "errors", "exact", "potential", "quintuple", "quiver"]
+ELLIPTIC_MODULES = ["cli", "elliptic", "errors", "exact"]
+LOADING_CASES = [
+    (["classify-quintuple", "-i"], LINEAR_QUINTUPLE, ["cli", "errors", "exact", "quintuple"]),
+    (["classify-potential", "-i"], CLASSICAL, POTENTIAL_MODULES),
+    (["map-potential", "-i"], CLASSICAL, POTENTIAL_MODULES),
+    (["hilbert", "--max-length", "4", "-i"], CLASSICAL, ["cli", "errors", "exact", "quiver"]),
+    (
+        ["elliptic", "check", "-i"],
+        {"lambda": "-3", "p1": ["-1", "1", "2"], "p2": ["1", "-1", "-2"]},
+        ELLIPTIC_MODULES,
+    ),
+    (
+        ["elliptic", "orbit-test", "-i"],
+        {
+            "first": {"lambda": "-3", "p1": ["-1", "1", "2"], "p2": ["1", "-1", "-2"]},
+            "second": {"lambda": "-3", "p1": ["1", "1/3", "2/3"], "p2": ["1", "-1", "-2"]},
+        },
+        ELLIPTIC_MODULES,
+    ),
+    (
+        ["dt-count", "--primes", "2,3,5,7", "--potential"],
+        CLASSICAL,
+        ["cli", "dtcount", "errors", "exact", "quiver"],
+    ),
+    (
+        ["--samples", "1", "acceptance"],
+        None,
+        ["acceptance", "cli", "dtcount", "elliptic", "errors", "exact", "potential", "quintuple", "quiver"],
+    ),
+]
+
+
+def _untimed(out):
+    return re.sub(r"\(\d+\.\d+s\)", "", out)
+
+
+@pytest.mark.parametrize(
+    "argv, doc, modules", LOADING_CASES, ids=[" ".join(a for a in c[0] if a[0].isalpha()) for c in LOADING_CASES]
+)
+def test_subcommand_loads_only_its_modules(tmp_path, capsys, argv, doc, modules):
+    if doc is not None:
+        argv = argv + [_write(tmp_path, "doc.json", doc)]
+    script = (
+        "import json, sys\n"
+        "from ncmoduli.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps(sorted(m[9:] for m in sys.modules if m.startswith('ncmoduli.'))), file=sys.stderr)\n"
+        "raise SystemExit(code)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], env=_source_env(), capture_output=True, timeout=60)
+    assert json.loads(result.stderr.splitlines()[-1]) == modules
+    # the same exit code and bytes as a run in this process, where every
+    # module may already be loaded; acceptance lines carry their timings
+    assert result.returncode == 0
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert _untimed(out) == _untimed(result.stdout.decode())
 
 
 def test_unstable_potential_has_no_weighted_point(tmp_path, capsys):
@@ -279,6 +350,21 @@ def test_acceptance_table_mode(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 8
     assert all(line.startswith("criterion ") and "[pass]" in line for line in lines)
+
+
+def test_acceptance_default_seed(monkeypatch):
+    import ncmoduli.acceptance as acceptance
+
+    seeds = []
+
+    def record(seed, samples):
+        seeds.append(seed)
+        return []
+
+    monkeypatch.setattr(acceptance, "run_acceptance", record)
+    assert main(["acceptance"]) == 0
+    assert main(["--seed", "5", "acceptance"]) == 0
+    assert seeds == [20240817, 5]
 
 
 # Inputs with non-integer and Gaussian values, and the exact output

@@ -1,10 +1,19 @@
 """Every public name resolves, so a removed name fails here first.
 
 Besides ``ncmoduli.__all__``, the benchmark in ``perfbench/`` reaches a
-few names through the submodules; those are listed here too.
+few names through the submodules; those are listed here too.  The
+package loads each submodule on first use; the last tests pin that in a
+fresh interpreter.
 """
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import ncmoduli
 
@@ -30,3 +39,44 @@ def test_benchmark_submodule_names_resolve():
         if not hasattr(getattr(ncmoduli, module, None), name):
             missing.append(dotted)
     assert missing == []
+
+
+def test_each_name_is_its_home_module_object():
+    for name in ncmoduli.__all__:
+        home = importlib.import_module(f"ncmoduli.{ncmoduli._HOME[name]}")
+        assert getattr(ncmoduli, name) is getattr(home, name), name
+
+
+def test_dir_covers_the_public_names_and_submodules():
+    listed = set(dir(ncmoduli))
+    assert set(ncmoduli.__all__) <= listed
+    assert {"elliptic", "quintuple", "acceptance"} <= listed
+
+
+def test_unknown_names_raise():
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        ncmoduli.nope
+    with pytest.raises(ImportError):
+        from ncmoduli import nope
+
+
+def loaded_submodules(code):
+    """The ``ncmoduli.*`` modules a fresh interpreter has loaded after ``code``."""
+    env = dict(os.environ)
+    src_dir = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
+    report = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.startswith('ncmoduli.'))))"
+    result = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_submodule():
+    assert loaded_submodules("import ncmoduli") == []
+
+
+def test_a_name_loads_its_home_module_and_its_imports_only():
+    loaded = loaded_submodules("from ncmoduli import orbit_equivalent")
+    assert loaded == ["ncmoduli.elliptic", "ncmoduli.errors", "ncmoduli.exact"]
