@@ -40,8 +40,8 @@ _EXPORTS = {
     "potential": (
         "FiberReport", "PotentialInvariants", "SymmetricPotentialMatrix",
         "classify_stability_potential", "fiber_experiment", "invariants_potential",
-        "potential_to_quintuple", "potential_to_sym_matrix", "reconstruct_spectrum",
-        "sym_matrix_to_potential", "verify_covering_identities",
+        "potential_to_quintuple", "potential_to_sym_matrix", "prove_covering_identities",
+        "reconstruct_spectrum", "sym_matrix_to_potential", "verify_covering_identities",
         "weighted_point_potential",
     ),
     "elliptic": (

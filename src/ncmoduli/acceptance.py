@@ -40,6 +40,7 @@ from .potential import (
     invariants_potential,
     potential_to_quintuple,
     potential_to_sym_matrix,
+    prove_covering_identities,
     sym_matrix_to_potential,
     verify_covering_identities,
     weighted_point_potential,
@@ -60,6 +61,10 @@ from .quiver import CyclicPotential, conifold_potential, conifold_quiver, graded
 DEFAULT_SEED = 20240817
 
 _TIME_BUDGETS = {1: 10.0, 2: 5.0, 3: None, 4: None, 5: 60.0, 6: 30.0, 7: 60.0, 8: 30.0}
+
+#: Largest sweep size ``samples`` may ask for.  Criterion 2 is the tightest:
+#: at 3 to 4 ms a sample it takes about 2 s of its 5 s budget at this size.
+MAX_SAMPLES = 500
 
 
 @dataclass
@@ -94,11 +99,13 @@ def _finish(index: int, name: str, started: float, ok: bool, detail: str) -> Cri
 
 
 def _sample_size(samples: Optional[int], default: int) -> int:
-    """A sweep's size: ``default`` for None, else ``samples``, which must be positive."""
+    """A sweep's size: ``default`` for None, else ``samples``, from 1 to ``MAX_SAMPLES``."""
     if samples is None:
         return default
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise DomainError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
     return samples
 
 
@@ -130,10 +137,11 @@ def _random_sl2(rng: Random) -> ExactMatrix:
 
 
 def criterion_1(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> CriterionResult:
-    """Exact covering identities on seeded random symmetric matrices."""
+    """The covering identities, proved symbolically and checked on seeded random matrices."""
     started = time.perf_counter()
     rng = Random(seed)
     n_samples = _sample_size(samples, 200)
+    proved = prove_covering_identities()
     good = 0
     for _ in range(n_samples):
         n = _random_symmetric(rng)
@@ -141,8 +149,9 @@ def criterion_1(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> Crit
             n = _random_symmetric(rng)
         if verify_covering_identities(n):
             good += 1
-    ok = good == n_samples
-    return _finish(1, "covering identities", started, ok, f"{good}/{n_samples} matrices verified exactly")
+    ok = proved and good == n_samples
+    proof = "proved for symbolic N" if proved else "symbolic proof FAILED"
+    return _finish(1, "covering identities", started, ok, f"{proof}, {good}/{n_samples} matrices verified exactly")
 
 
 def criterion_2(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> CriterionResult:

@@ -41,7 +41,7 @@ from random import Random
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .exact import GAUSSIAN_I, GaussianRational, ScalarLike
+from .exact import GAUSSIAN_I, GaussianRational, ScalarLike, _Poly
 
 TRANSLATION_NAMES = ("t1", "t2", "t3")
 
@@ -121,10 +121,6 @@ def curve_rhs(l0, l1, x, y):
 
 def on_curve(lam: LambdaPair, pt: EllPoint) -> bool:
     return pt.z * pt.z == curve_rhs(lam.l0, lam.l1, pt.x, pt.y)
-
-
-def origin_point() -> EllPoint:
-    return EllPoint.make(1, 0, 0)
 
 
 def two_torsion_points(lam: LambdaPair) -> Tuple[EllPoint, ...]:
@@ -347,46 +343,6 @@ def random_configuration(rng: Random) -> EllipticConfiguration:
 
 # -- symbolic equation preservation ------------------------------------
 
-class _Poly:
-    """A polynomial in (l0, l1, X, Y, Z) over Q(i): exponent vector -> nonzero coefficient."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Dict[Tuple[int, ...], GaussianRational]):
-        self.terms = {e: c for e, c in terms.items() if c}
-
-    @staticmethod
-    def lift(value) -> "_Poly":
-        if isinstance(value, _Poly):
-            return value
-        return _Poly({(0, 0, 0, 0, 0): GaussianRational.coerce(value)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in _Poly.lift(other).terms.items():
-            out[e] = out[e] + c if e in out else c
-        return _Poly(out)
-
-    def __neg__(self):
-        return _Poly({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + -_Poly.lift(other)
-
-    def __mul__(self, other):
-        out: Dict[Tuple[int, ...], GaussianRational] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in _Poly.lift(other).terms.items():
-                e = tuple(a + b for a, b in zip(ea, eb))
-                out[e] = out[e] + ca * cb if e in out else ca * cb
-        return _Poly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, _Poly) and self.terms == other.terms
-
-
 def verify_equation_preservation() -> Dict[str, bool]:
     """Check all five transforms against the curve equation symbolically.
 
@@ -398,7 +354,7 @@ def verify_equation_preservation() -> Dict[str, bool]:
     c^2 * RHS = RHS', so the image of a point with Z^2 = RHS satisfies
     Z'^2 = RHS'.
     """
-    L0, L1, X, Y, Z = (_Poly({tuple(int(j == k) for j in range(5)): _ONE}) for k in range(5))
+    L0, L1, X, Y, Z = _Poly.variables(5)
     rhs = curve_rhs(L0, L1, X, Y)
     results = {}
     for name, (pair, point) in _GENERATORS.items():

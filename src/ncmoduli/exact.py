@@ -15,6 +15,7 @@ matrix types used throughout:
   Kronecker products, power traces tr(A), ..., tr(A^k), and nilpotency
   decided by them.
 * ``BinaryForm``: homogeneous forms in two variables over Q(i), with GCD.
+* ``_Poly``: sparse polynomials over Q(i), for the symbolic proofs.
 
 Plain ``int`` and ``Fraction`` values coerce into ``GaussianRational``
 wherever a scalar is expected, which keeps call sites readable.
@@ -495,7 +496,7 @@ class ExactMatrix:
 
     @classmethod
     def _wrap(cls, rows) -> "ExactMatrix":
-        """A matrix on a rectangular tuple of tuples of GaussianRational, unchecked."""
+        """A matrix on a rectangular tuple of tuples of GaussianRational (or ``_Poly``), unchecked."""
         m = _new_object(cls)
         m.rows = rows
         return m
@@ -536,7 +537,7 @@ class ExactMatrix:
         return all(e.is_zero() for row in self.rows for e in row)
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.rows)))
+        return ExactMatrix._wrap(tuple(zip(*self.rows)))
 
     def trace(self) -> GaussianRational:
         if self.nrows != self.ncols:
@@ -821,3 +822,79 @@ def binary_form_gcd(forms: Iterable[BinaryForm]) -> BinaryForm:
         return BinaryForm([0])
     coeffs = [GaussianRational(0)] * min_beta + (poly_gcd or [GaussianRational(1)])
     return BinaryForm(coeffs).normalized()
+
+
+# -- sparse polynomials -----------------------------------------------
+
+#: Bits per exponent in a ``_Poly`` monomial key; the proofs have degree at most 11.
+_EXPONENT_BITS = 8
+_EXPONENT_MASK = (1 << _EXPONENT_BITS) - 1
+
+
+class _Poly:
+    """A sparse polynomial over Q(i): {monomial key: nonzero coefficient}.
+
+    The exponent of variable v sits in bits 8v to 8v + 7 of the key, so
+    multiplying monomials adds keys.  Coefficients are int, ``Fraction``
+    or ``GaussianRational`` values, and such a scalar may stand on either
+    side of + - * and compare equal to a constant polynomial.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Dict[int, ScalarLike]):
+        self.terms = {m: c for m, c in terms.items() if c}
+
+    @classmethod
+    def variables(cls, count: int) -> List["_Poly"]:
+        """The variables x_0, ..., x_(count-1)."""
+        return [cls({1 << (_EXPONENT_BITS * v): 1}) for v in range(count)]
+
+    @staticmethod
+    def _lift(value) -> "_Poly":
+        return value if isinstance(value, _Poly) else _Poly({0: value})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in _Poly._lift(other).terms.items():
+            out[m] = out[m] + c if m in out else c
+        return _Poly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Poly({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -_Poly._lift(other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, _Poly):
+            return _Poly({m: c * other for m, c in self.terms.items()})
+        out: Dict[int, ScalarLike] = {}
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
+                m = ma + mb
+                out[m] = out[m] + ca * cb if m in out else ca * cb
+        return _Poly(out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, k: int):
+        return self * Fraction(1, k)
+
+    def __eq__(self, other):
+        return self.terms == _Poly._lift(other).terms
+
+    def at(self, point: Sequence[ScalarLike]) -> ScalarLike:
+        """The value at the point whose v-th coordinate is ``point[v]``."""
+        total: ScalarLike = 0
+        for m, c in self.terms.items():
+            for x in point:
+                c = c * x ** (m & _EXPONENT_MASK)
+                m >>= _EXPONENT_BITS
+            total = total + c
+        return total

@@ -9,8 +9,9 @@ the weighted projective space with weights (1, 2, 3, 4).
 
 Reinterpreting N as a 2x2x2x2 tensor realizes the degree-4 covering of
 weighted spaces: the tensor invariants of the image are polynomial in
-the f_d, and :func:`verify_covering_identities` checks those relations
-exactly on any given N.
+the f_d.  :func:`verify_covering_identities` checks those relations
+exactly on any given N, and :func:`prove_covering_identities` proves
+them for every N as polynomial identities.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, SchemaError
@@ -26,6 +27,7 @@ from .exact import (
     BinaryForm,
     ExactMatrix,
     GaussianRational,
+    _Poly,
     _poly_divmod,
     binary_form_gcd,
     fraction_str,
@@ -36,6 +38,7 @@ from .quintuple import (
     Quintuple,
     WeightedPoint,
     invariants as quintuple_invariants,
+    pairing_matrix,
     weighted_point_equal,
 )
 from .quiver import CyclicPotential, conifold_quiver
@@ -232,6 +235,37 @@ def covering_image_invariants(inv: PotentialInvariants) -> Tuple[Fraction, Fract
     """
     e, p = _newton(inv.as_tuple(), 6)
     return (p[1], p[3], e[3], p[5])
+
+
+def _covering_polynomials():
+    """Both sides of the covering identities, with the upper entries of N as variables.
+
+    Returns the power traces [f1, f2, f3, f4] of N J and (tr A, tr A^2,
+    det M, tr A^3) for the flattening M = N and A = M^T J M J, computed
+    by the same matrix code as the numbers.
+    """
+    x = _Poly.variables(len(_UPPER))
+    m = ExactMatrix._wrap(tuple(tuple(x[_UPPER_POS[r][c]] for c in range(4)) for r in range(4)))
+    f = (m * J_MATRIX).power_traces(4)
+    f2, f4, f6 = pairing_matrix(Quintuple.from_matrix(m)).power_traces(3)
+    # det M by the Leibniz formula: ExactMatrix.det divides, and _Poly cannot
+    det = sum(
+        (-1) ** sum(a > b for k, a in enumerate(p) for b in p[k + 1:])
+        * m[0, p[0]] * m[1, p[1]] * m[2, p[2]] * m[3, p[3]]
+        for p in permutations(range(4))
+    )
+    return f, (f2, f4, det, f6)
+
+
+def prove_covering_identities() -> bool:
+    """Prove f2' = f2, f4' = f4, g4' = e4 and f6' = p6 for every N.
+
+    ``covering_image_invariants`` on the symbolic power traces must equal
+    the nonzero symbolic tensor invariants as polynomials, so the
+    identities :func:`verify_covering_identities` checks on one N hold for all.
+    """
+    f, tensor = _covering_polynomials()
+    return all(side.terms for side in tensor) and covering_image_invariants(PotentialInvariants(*f)) == tensor
 
 
 def verify_covering_identities(n: SymmetricPotentialMatrix) -> bool:

@@ -9,6 +9,7 @@ full criteria run here, not reduced stand-ins.
 import pytest
 
 from ncmoduli import acceptance
+from ncmoduli.errors import DomainError
 
 
 def _check(result):
@@ -54,3 +55,15 @@ def test_non_positive_sample_sizes_raise():
         acceptance.criterion_1(samples=0)
     with pytest.raises(ValueError, match="samples must be positive, got -3"):
         acceptance.run_acceptance(samples=-3)
+
+
+def test_sample_sizes_above_the_cap_raise():
+    # no sweep runs at the cap here: a sweep that size takes seconds
+    cap = acceptance.MAX_SAMPLES
+    assert acceptance._sample_size(cap, 200) == cap
+    assert acceptance._sample_size(None, 200) == 200
+    message = f"samples must be at most {cap}, got {cap + 1}"
+    with pytest.raises(DomainError, match=message):
+        acceptance.criterion_1(samples=cap + 1)
+    with pytest.raises(DomainError, match=message):
+        acceptance.run_acceptance(samples=cap + 1)

@@ -344,6 +344,16 @@ def test_acceptance_refuses_non_positive_samples(capsys):
         assert captured.err == f"input error: --samples must be positive, got {samples}\n"
 
 
+def test_acceptance_refuses_samples_above_the_cap(capsys):
+    from ncmoduli.acceptance import MAX_SAMPLES
+
+    over = MAX_SAMPLES + 1
+    assert main(["--samples", str(over), "acceptance"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"domain error: samples must be at most {MAX_SAMPLES}, got {over}\n"
+
+
 def test_acceptance_table_mode(capsys):
     code, out = _run(capsys, ["--samples", "5", "acceptance"])
     assert code == 0

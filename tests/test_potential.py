@@ -28,7 +28,7 @@ from ncmoduli.potential import (
     weighted_point_potential,
 )
 from ncmoduli.quintuple import J_MATRIX, WeightedPoint, weighted_point_equal
-from ncmoduli.quiver import CyclicPotential, conifold_potential, conifold_quiver
+from ncmoduli.quiver import CyclicPotential, conifold_potential, conifold_quiver, potential_double_cover
 
 
 def _random_symmetric(rng, span=6, maxden=5):
@@ -212,6 +212,31 @@ def test_covering_image_entry_convention():
     # row pair (0, 1) -> (i, j) = (0, 1); column pair (2) -> (k, l) = (1, 0)
     assert q[0, 1, 1, 0] == GaussianRational(n[1, 2])
     assert q[1, 1, 0, 0] == GaussianRational(n[3, 0])
+
+
+def _lift_as_tensor(n):
+    """The double-cover lift of n's potential, each word a_i b_j' a_k' b_l
+    (rotated to start at an unprimed a) read as {(i, j, k, l): coefficient}."""
+    read = {}
+    for word, coeff in potential_double_cover(sym_matrix_to_potential(n)).terms.items():
+        start = next(s for s, label in enumerate(word) if label in ("a1", "a2"))
+        labels = word[start:] + word[:start]
+        assert [label[0] + label[2:] for label in labels] == ["a", "b'", "a'", "b"], word
+        read[tuple(int(label[1]) - 1 for label in labels)] = coeff
+    return read
+
+
+def test_double_cover_lift_is_the_tensor():
+    # both maps are linear in N, so the ten basis matrices prove it for every N
+    for r, c in [(r, c) for r in range(4) for c in range(r, 4)]:
+        n = SymmetricPotentialMatrix([[int((x, y) in ((r, c), (c, r))) for y in range(4)] for x in range(4)])
+        m = potential_to_quintuple(n).flatten()
+        tensor = {
+            (i, j, k, l): 2 * m[2 * i + j, 2 * k + l].as_fraction()
+            for i in range(2) for j in range(2) for k in range(2) for l in range(2)
+            if m[2 * i + j, 2 * k + l]
+        }
+        assert _lift_as_tensor(n) == tensor, (r, c)
 
 
 def test_covering_prediction_formulas_on_base():
