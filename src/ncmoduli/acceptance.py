@@ -1,9 +1,11 @@
 """End-to-end acceptance checks for the whole pipeline.
 
-Each criterion is a standalone function returning a CriterionResult with
-a pass flag, wall time, and a short human-readable detail line.  All
-expected values are exact and frozen; sampled sweeps are seeded, so the
-whole suite is deterministic.
+Each criterion is a standalone function ``(seed, samples)`` returning a
+CriterionResult with a pass flag, wall time, and a short human-readable
+detail line.  One decorator gives all eight that signature, the check of
+``samples`` and the time budget; only the sweeps read the seed and the
+size.  All expected values are exact and frozen; sampled sweeps are
+seeded, so the whole suite is deterministic.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .errors import DomainError
 from .dtcount import (
@@ -89,16 +91,7 @@ class CriterionResult:
         }
 
 
-def _finish(index: int, name: str, started: float, ok: bool, detail: str) -> CriterionResult:
-    elapsed = time.perf_counter() - started
-    budget = _TIME_BUDGETS[index]
-    if budget is not None and elapsed >= budget:
-        ok = False
-        detail += f"; exceeded the {budget:.0f}s budget"
-    return CriterionResult(index=index, name=name, passed=ok, seconds=elapsed, detail=detail)
-
-
-def _sample_size(samples: Optional[int], default: int) -> int:
+def _sample_size(samples: Optional[int], default: Optional[int]) -> Optional[int]:
     """A sweep's size: ``default`` for None, else ``samples``, from 1 to ``MAX_SAMPLES``."""
     if samples is None:
         return default
@@ -107,6 +100,32 @@ def _sample_size(samples: Optional[int], default: int) -> int:
     if samples > MAX_SAMPLES:
         raise DomainError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
     return samples
+
+
+def _criterion(index: int, name: str, sweep: Optional[int] = None):
+    """Make a body returning ``(passed, detail)`` criterion ``index``, called as ``(seed, samples)``.
+
+    Every criterion checks ``samples`` with ``_sample_size`` and times the
+    body against ``_TIME_BUDGETS[index]``.  A body with a sweep (default
+    size ``sweep``) gets ``(seed, size)``; a fixed body gets nothing.
+    """
+
+    def decorate(body):
+        def criterion(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> CriterionResult:
+            size = _sample_size(samples, sweep)
+            started = time.perf_counter()
+            ok, detail = body() if sweep is None else body(seed, size)
+            elapsed = time.perf_counter() - started
+            budget = _TIME_BUDGETS[index]
+            if budget is not None and elapsed >= budget:
+                ok = False
+                detail += f"; exceeded the {budget:.0f}s budget"
+            return CriterionResult(index=index, name=name, passed=ok, seconds=elapsed, detail=detail)
+
+        criterion.__name__, criterion.__qualname__, criterion.__doc__ = body.__name__, body.__qualname__, body.__doc__
+        return criterion
+
+    return decorate
 
 
 def _random_fraction(rng: Random, span: int = 9, maxden: int = 9) -> Fraction:
@@ -136,11 +155,10 @@ def _random_sl2(rng: Random) -> ExactMatrix:
     return m
 
 
-def criterion_1(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> CriterionResult:
+@_criterion(1, "covering identities", sweep=200)
+def criterion_1(seed: int, n_samples: int) -> Tuple[bool, str]:
     """The covering identities, proved symbolically and checked on seeded random matrices."""
-    started = time.perf_counter()
     rng = Random(seed)
-    n_samples = _sample_size(samples, 200)
     proved = prove_covering_identities()
     good = 0
     for _ in range(n_samples):
@@ -149,16 +167,14 @@ def criterion_1(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> Crit
             n = _random_symmetric(rng)
         if verify_covering_identities(n):
             good += 1
-    ok = proved and good == n_samples
     proof = "proved for symbolic N" if proved else "symbolic proof FAILED"
-    return _finish(1, "covering identities", started, ok, f"{proof}, {good}/{n_samples} matrices verified exactly")
+    return proved and good == n_samples, f"{proof}, {good}/{n_samples} matrices verified exactly"
 
 
-def criterion_2(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> CriterionResult:
+@_criterion(2, "fiber cardinality", sweep=50)
+def criterion_2(seed: int, n_samples: int) -> Tuple[bool, str]:
     """Each diagonal spectrum has exactly four preimages over its image point."""
-    started = time.perf_counter()
     rng = Random(seed + 1)
-    n_samples = _sample_size(samples, 50)
     good = 0
     for _ in range(n_samples):
         xs = set()
@@ -167,13 +183,12 @@ def criterion_2(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> Crit
         report = fiber_experiment(sorted(xs))
         if report.preimage_count == 4 and report.target_consistent and report.odd_patterns_differ:
             good += 1
-    ok = good == n_samples
-    return _finish(2, "fiber cardinality", started, ok, f"{good}/{n_samples} spectra with a clean 4-element fiber")
+    return good == n_samples, f"{good}/{n_samples} spectra with a clean 4-element fiber"
 
 
-def criterion_3(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> CriterionResult:
+@_criterion(3, "base potential end-to-end")
+def criterion_3() -> Tuple[bool, str]:
     """The base superpotential end to end, all values exact."""
-    started = time.perf_counter()
     phi = conifold_potential()
     n = potential_to_sym_matrix(phi)
     checks = []
@@ -200,14 +215,12 @@ def criterion_3(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> Crit
     checks.append(("geometric", is_geometric(image) == (True, None)))
     checks.append(("stability", classify_stability(image) == "stable"))
     bad = [name for name, ok in checks if not ok]
-    ok = not bad
-    detail = "all six exact checks hold" if ok else f"failed: {', '.join(bad)}"
-    return _finish(3, "base potential end-to-end", started, ok, detail)
+    return not bad, "all six exact checks hold" if not bad else f"failed: {', '.join(bad)}"
 
 
-def criterion_4(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> CriterionResult:
+@_criterion(4, "nilpotent end-to-end")
+def criterion_4() -> Tuple[bool, str]:
     """A square word: nilpotent, no invariant-theory image, not geometric."""
-    started = time.perf_counter()
     phi = CyclicPotential(conifold_quiver(), {("a1", "b1", "a1", "b1"): Fraction(1)})
     n = potential_to_sym_matrix(phi)
     checks = []
@@ -223,9 +236,7 @@ def criterion_4(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> Crit
     geo, slot = is_geometric(image)
     checks.append(("not geometric", geo is False))
     bad = [name for name, okc in checks if not okc]
-    ok = not bad
-    detail = "degenerate word classified correctly" if ok else f"failed: {', '.join(bad)}"
-    return _finish(4, "nilpotent end-to-end", started, ok, detail)
+    return not bad, "degenerate word classified correctly" if not bad else f"failed: {', '.join(bad)}"
 
 
 def _quadric_monomial_count(degree: int) -> int:
@@ -242,25 +253,18 @@ def _quadric_monomial_count(degree: int) -> int:
     return total
 
 
-def criterion_5(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> CriterionResult:
+@_criterion(5, "graded dimensions")
+def criterion_5() -> Tuple[bool, str]:
     """Graded dimensions of the base Jacobi algebra against the monomial oracle."""
-    started = time.perf_counter()
     dims = graded_dimension(conifold_potential(), "v0", "v0", 8)
     expected = [1, 0, 4, 0, 9, 0, 16, 0, 25]
-    ok = dims == expected
-    oracle_ok = all(dims[2 * m] == _quadric_monomial_count(m) for m in range(5))
-    ok = ok and oracle_ok
-    detail = (
-        f"dims {dims} match the frozen sequence and the oracle"
-        if ok
-        else f"got {dims}, expected {expected}"
-    )
-    return _finish(5, "graded dimensions", started, ok, detail)
+    ok = dims == expected and all(dims[2 * m] == _quadric_monomial_count(m) for m in range(5))
+    return ok, f"dims {dims} match the frozen sequence and the oracle" if ok else f"got {dims}, expected {expected}"
 
 
-def criterion_6(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> CriterionResult:
+@_criterion(6, "orbit machinery", sweep=50)
+def criterion_6(seed: int, n_pairs: int) -> Tuple[bool, str]:
     """Symbolic equation preservation, involutions, and the orbit search."""
-    started = time.perf_counter()
     problems = []
 
     symbolic = verify_equation_preservation()
@@ -277,7 +281,6 @@ def criterion_6(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> Crit
             if translate(pair, translate(pair, pt, which), which) != pt:
                 problems.append(f"{which} is not an involution at lambda={lam}")
 
-    n_pairs = _sample_size(samples, 50)
     found = 0
     for _ in range(n_pairs):
         cfg = random_configuration(rng)
@@ -313,19 +316,13 @@ def criterion_6(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> Crit
     if rejected != n_pairs:
         problems.append(f"only {rejected}/{n_pairs} non-orbit pairs rejected")
 
-    ok = not problems
-    detail = (
-        f"symbolic identities, {n_fixtures} involution fixtures, "
-        f"{found}+{rejected} orbit decisions all exact"
-        if ok
-        else "; ".join(problems)
-    )
-    return _finish(6, "orbit machinery", started, ok, detail)
+    summary = f"symbolic identities, {n_fixtures} involution fixtures, {found}+{rejected} orbit decisions all exact"
+    return not problems, "; ".join(problems) or summary
 
 
-def criterion_7(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> CriterionResult:
+@_criterion(7, "finite-field counts")
+def criterion_7() -> Tuple[bool, str]:
     """Finite-field counts, stability sweep, and the deformed comparison."""
-    started = time.perf_counter()
     problems = []
     theta = default_stability()
     phi = conifold_potential()
@@ -361,21 +358,15 @@ def criterion_7(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> Crit
     if deformed_count != 10 or deformed_count == expected_counts[5]:
         problems.append(f"deformed count at p=5 was {deformed_count}")
 
-    ok = not problems
-    detail = (
-        f"counts {sorted(expected_counts.values())}, {swept}-point stability sweep, "
-        f"deformed count {deformed_count} != 150"
-        if ok
-        else "; ".join(problems)
-    )
-    return _finish(7, "finite-field counts", started, ok, detail)
+    counts = sorted(expected_counts.values())
+    summary = f"counts {counts}, {swept}-point stability sweep, deformed count {deformed_count} != 150"
+    return not problems, "; ".join(problems) or summary
 
 
-def criterion_8(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> CriterionResult:
+@_criterion(8, "group invariance", sweep=100)
+def criterion_8(seed: int, n_samples: int) -> Tuple[bool, str]:
     """Invariance of both invariant systems under special linear slot actions."""
-    started = time.perf_counter()
     rng = Random(seed + 8)
-    n_samples = _sample_size(samples, 100)
     problems = []
 
     tensor_ok = 0
@@ -412,13 +403,7 @@ def criterion_8(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> Crit
     if matrix_ok != n_samples:
         problems.append(f"matrix invariance {matrix_ok}/{n_samples}")
 
-    ok = not problems
-    detail = (
-        f"{tensor_ok}+{matrix_ok} exact invariance checks"
-        if ok
-        else "; ".join(problems)
-    )
-    return _finish(8, "group invariance", started, ok, detail)
+    return not problems, "; ".join(problems) or f"{tensor_ok}+{matrix_ok} exact invariance checks"
 
 
 CRITERIA = (
@@ -434,4 +419,6 @@ CRITERIA = (
 
 
 def run_acceptance(seed: int = DEFAULT_SEED, samples: Optional[int] = None) -> List[CriterionResult]:
+    """All eight criteria; ``samples`` is checked before any of them runs."""
+    _sample_size(samples, None)
     return [fn(seed=seed, samples=samples) for fn in CRITERIA]

@@ -5,7 +5,9 @@ for Q(i)); output JSON is emitted with sorted keys and a fixed layout so
 repeated runs are byte-identical.  Exit codes: 0 on success, 2 for
 malformed input documents, 3 for domain violations; the acceptance
 subcommand exits 1 when a criterion fails.  Each handler imports the
-modules it computes with, so a subcommand loads only those.
+modules it computes with, so a subcommand loads only those.  Each option
+belongs to the subcommand that reads it: ``--seed`` and ``--samples``,
+the sizes of the sampled sweeps, are options of ``acceptance``.
 """
 
 from __future__ import annotations
@@ -34,13 +36,16 @@ def _read_document(path: str):
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _write_document(doc, path: str) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _write_text(text: str, path: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _write_document(doc, path: str) -> None:
+    _write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", path)
 
 
 def potential_from_json(doc):
@@ -234,8 +239,7 @@ def _cmd_acceptance(args) -> int:
     if args.json:
         _write_document([r.to_json() for r in results], args.output)
     else:
-        for r in results:
-            sys.stdout.write(r.line() + "\n")
+        _write_text("".join(r.line() + "\n" for r in results), args.output)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -249,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ncmoduli",
         description="Exact moduli computations for conifold potentials and 2x2x2x2 tensors",
     )
-    parser.add_argument("--seed", type=int, default=None, help="seed for sampled sweeps")
-    parser.add_argument("--samples", type=int, default=None, help="override sweep sample counts")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify-quintuple", help="invariants and stability of a tensor")
@@ -294,8 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_dt_count)
 
     p = sub.add_parser("acceptance", help="run the acceptance criteria")
-    p.add_argument("-o", "--output", default="-", help="output JSON file for --json mode")
+    p.add_argument("-o", "--output", default="-", help="output file for the table or the JSON, - for stdout")
     p.add_argument("--json", action="store_true", help="emit JSON instead of a table")
+    p.add_argument("--seed", type=int, default=None, help="seed for sampled sweeps")
+    p.add_argument("--samples", type=int, default=None, help="override sweep sample counts")
     p.set_defaults(handler=_cmd_acceptance)
 
     return parser

@@ -12,6 +12,14 @@ weighted spaces: the tensor invariants of the image are polynomial in
 the f_d.  :func:`verify_covering_identities` checks those relations
 exactly on any given N, and :func:`prove_covering_identities` proves
 them for every N as polynomial identities.
+
+On quartic potentials the covering map is the double-cover lift
+:func:`ncmoduli.quiver.potential_double_cover`: in the lift, the word
+a_i b_j' a_k' b_l has coefficient 2 M[2i+j][2k+l], M the flattening of
+the image tensor (``test_double_cover_lift_is_the_tensor`` pins it).  The
+two stay separate constructions: the lift also takes cycles of length
+8, 12, ..., which have no matrix, and reading the tensor off the lift is
+slower than building it here.
 """
 
 from __future__ import annotations

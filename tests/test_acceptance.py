@@ -67,3 +67,26 @@ def test_sample_sizes_above_the_cap_raise():
         acceptance.criterion_1(samples=cap + 1)
     with pytest.raises(DomainError, match=message):
         acceptance.run_acceptance(samples=cap + 1)
+
+
+@pytest.mark.parametrize("criterion", acceptance.CRITERIA, ids=lambda fn: fn.__name__)
+def test_every_criterion_refuses_sample_sizes_out_of_range(criterion):
+    # the fixed checks read no sweep size, and still refuse a bad one
+    with pytest.raises(ValueError, match="samples must be positive, got 0"):
+        criterion(samples=0)
+    with pytest.raises(DomainError, match=f"got {acceptance.MAX_SAMPLES + 1}"):
+        criterion(samples=acceptance.MAX_SAMPLES + 1)
+
+
+def test_run_acceptance_checks_samples_before_any_criterion(monkeypatch):
+    calls = []
+
+    def record(seed, samples):
+        calls.append((seed, samples))
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (record,) + acceptance.CRITERIA)
+    with pytest.raises(ValueError, match="samples must be positive, got 0"):
+        acceptance.run_acceptance(samples=0)
+    with pytest.raises(DomainError):
+        acceptance.run_acceptance(samples=acceptance.MAX_SAMPLES + 1)
+    assert calls == []

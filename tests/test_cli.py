@@ -153,7 +153,7 @@ LOADING_CASES = [
         ["cli", "dtcount", "errors", "exact", "quiver"],
     ),
     (
-        ["--samples", "1", "acceptance"],
+        ["acceptance", "--samples", "1"],
         None,
         ["acceptance", "cli", "dtcount", "elliptic", "errors", "exact", "potential", "quintuple", "quiver"],
     ),
@@ -329,7 +329,7 @@ def test_elliptic_orbit_test_refuses_off_curve_points(tmp_path, capsys):
 
 def test_acceptance_json_mode(tmp_path, capsys):
     out_path = tmp_path / "acceptance.json"
-    code = main(["--samples", "5", "acceptance", "--json", "-o", str(out_path)])
+    code = main(["acceptance", "--samples", "5", "--json", "-o", str(out_path)])
     assert code == 0
     entries = json.loads(out_path.read_text())
     assert [e["index"] for e in entries] == list(range(1, 9))
@@ -338,7 +338,7 @@ def test_acceptance_json_mode(tmp_path, capsys):
 
 def test_acceptance_refuses_non_positive_samples(capsys):
     for samples in ("0", "-3"):
-        assert main(["--samples", samples, "acceptance"]) == 2
+        assert main(["acceptance", "--samples", samples]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"input error: --samples must be positive, got {samples}\n"
@@ -348,18 +348,41 @@ def test_acceptance_refuses_samples_above_the_cap(capsys):
     from ncmoduli.acceptance import MAX_SAMPLES
 
     over = MAX_SAMPLES + 1
-    assert main(["--samples", str(over), "acceptance"]) == 3
+    assert main(["acceptance", "--samples", str(over)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"domain error: samples must be at most {MAX_SAMPLES}, got {over}\n"
 
 
 def test_acceptance_table_mode(capsys):
-    code, out = _run(capsys, ["--samples", "5", "acceptance"])
+    code, out = _run(capsys, ["acceptance", "--samples", "5"])
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines) == 8
     assert all(line.startswith("criterion ") and "[pass]" in line for line in lines)
+
+
+def test_acceptance_table_goes_to_the_output_file(tmp_path, capsys):
+    out_path = tmp_path / "acceptance.txt"
+    assert main(["acceptance", "--samples", "5", "-o", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    lines = out_path.read_text().splitlines()
+    assert [line.split(" [")[0] for line in lines] == [f"criterion {k}" for k in range(1, 9)]
+    assert all("[pass]" in line for line in lines)
+
+
+def test_sweep_options_belong_to_acceptance(tmp_path, capsys):
+    code, out = _run(capsys, ["acceptance", "--seed", "5", "--samples", "5"])
+    assert code == 0
+    assert out.count("[pass]") == 8
+    src = _write(tmp_path, "phi.json", CLASSICAL)
+    for argv in (["hilbert", "--samples", "5", "-i", src, "--max-length", "4"], ["--samples", "5", "acceptance"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ncmoduli ") and "\nncmoduli: error: " in captured.err, argv
 
 
 def test_acceptance_default_seed(monkeypatch):
@@ -373,7 +396,7 @@ def test_acceptance_default_seed(monkeypatch):
 
     monkeypatch.setattr(acceptance, "run_acceptance", record)
     assert main(["acceptance"]) == 0
-    assert main(["--seed", "5", "acceptance"]) == 0
+    assert main(["acceptance", "--seed", "5"]) == 0
     assert seeds == [20240817, 5]
 
 

@@ -28,7 +28,13 @@ from ncmoduli.potential import (
     weighted_point_potential,
 )
 from ncmoduli.quintuple import J_MATRIX, WeightedPoint, weighted_point_equal
-from ncmoduli.quiver import CyclicPotential, conifold_potential, conifold_quiver, potential_double_cover
+from ncmoduli.quiver import (
+    CyclicPotential,
+    conifold_potential,
+    conifold_quiver,
+    double_cover_quiver,
+    potential_double_cover,
+)
 
 
 def _random_symmetric(rng, span=6, maxden=5):
@@ -237,6 +243,22 @@ def test_double_cover_lift_is_the_tensor():
             if m[2 * i + j, 2 * k + l]
         }
         assert _lift_as_tensor(n) == tensor, (r, c)
+
+
+def test_double_cover_lifts_cycles_the_tensor_refuses():
+    # the lift needs an even number of b arrows, the tensor a length-4 word
+    octic = ("a1", "b1", "a2", "b2", "a1", "b2", "a2", "b1")
+    phi = CyclicPotential(conifold_quiver(), {octic: 3})
+    with pytest.raises(DomainError, match="is not quartic"):
+        potential_to_sym_matrix(phi)
+    sheets = {
+        ("a1", "b1'", "a2'", "b2", "a1", "b2'", "a2'", "b1"): 3,
+        ("a1'", "b1", "a2", "b2'", "a1'", "b2", "a2", "b1'"): 3,
+    }
+    assert potential_double_cover(phi) == CyclicPotential(double_cover_quiver(), sheets)
+    for odd in (("a1", "b1"), ("a1", "b1", "a2", "b2", "a1", "b1")):
+        with pytest.raises(DomainError, match="does not close on the double cover"):
+            potential_double_cover(CyclicPotential(conifold_quiver(), {odd: 1}))
 
 
 def test_covering_prediction_formulas_on_base():
