@@ -11,7 +11,6 @@ seeded, so the whole suite is deterministic.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import List, Optional, Tuple
@@ -34,7 +33,7 @@ from .elliptic import (
     verify_equation_preservation,
     LambdaPair,
 )
-from .exact import ExactMatrix, GaussianRational
+from .exact import ExactMatrix, GaussianRational, _Record
 from .potential import (
     SymmetricPotentialMatrix,
     classify_stability_potential,
@@ -69,13 +68,16 @@ _TIME_BUDGETS = {1: 10.0, 2: 5.0, 3: None, 4: None, 5: 60.0, 6: 30.0, 7: 60.0, 8
 MAX_SAMPLES = 500
 
 
-@dataclass
-class CriterionResult:
-    index: int
-    name: str
-    passed: bool
-    seconds: float
-    detail: str
+class CriterionResult(_Record):
+    """One criterion's outcome; unlike the other records it is mutable and unhashable."""
+
+    __slots__ = ("index", "name", "passed", "seconds", "detail")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, index: int, name: str, passed: bool, seconds: float, detail: str):
+        self._assign(index, name, passed, seconds, detail)
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"

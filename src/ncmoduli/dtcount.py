@@ -27,14 +27,12 @@ Primes above ``MAX_COUNT_PRIME`` are refused before any enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .exact import PrimeFieldElement, fraction_str, is_prime
+from .exact import PrimeFieldElement, _Record, fraction_str, is_prime
 from .quiver import CyclicPotential, _cyclic_derivatives, conifold_quiver, framed_conifold_quiver
 
 ARROW_ORDER = ("a1", "a2", "b1", "b2")
@@ -43,20 +41,17 @@ ARROW_ORDER = ("a1", "a2", "b1", "b2")
 MAX_COUNT_PRIME = 31
 
 
-@dataclass(frozen=True)
-class FramedRep:
+class FramedRep(_Record):
     """A framed conifold representation with one scalar per arrow."""
 
-    a1: PrimeFieldElement
-    a2: PrimeFieldElement
-    b1: PrimeFieldElement
-    b2: PrimeFieldElement
-    i: PrimeFieldElement
+    __slots__ = ("a1", "a2", "b1", "b2", "i")
 
-    def __post_init__(self):
-        ps = {v.p for v in (self.a1, self.a2, self.b1, self.b2, self.i)}
+    def __init__(self, a1: PrimeFieldElement, a2: PrimeFieldElement, b1: PrimeFieldElement,
+                 b2: PrimeFieldElement, i: PrimeFieldElement):
+        ps = {v.p for v in (a1, a2, b1, b2, i)}
         if len(ps) != 1:
             raise DomainError(f"mixed field characteristics {sorted(ps)}")
+        self._assign(a1, a2, b1, b2, i)
 
     @property
     def p(self) -> int:
@@ -67,13 +62,13 @@ class FramedRep:
         return cls(*(PrimeFieldElement(v, p) for v in (a1, a2, b1, b2, i)))
 
 
-@dataclass(frozen=True)
-class StabilityParameter:
+class StabilityParameter(_Record):
     """King weights (theta_0, theta_1, theta_inf) for the three vertices."""
 
-    theta0: Fraction
-    theta1: Fraction
-    theta_inf: Fraction
+    __slots__ = ("theta0", "theta1", "theta_inf", "_stable_patterns")
+
+    def __init__(self, theta0: Fraction, theta1: Fraction, theta_inf: Fraction):
+        self._assign(theta0, theta1, theta_inf, _stability_table((theta0, theta1, theta_inf)))
 
     @classmethod
     def from_values(cls, values: Sequence) -> "StabilityParameter":
@@ -87,11 +82,6 @@ class StabilityParameter:
 
     def to_json(self):
         return [fraction_str(v) for v in self.as_tuple()]
-
-    @cached_property
-    def _stable_patterns(self) -> Tuple[bool, ...]:
-        # the stability verdict of each zero pattern, indexed by pattern bits
-        return _stability_table(self.as_tuple())
 
 
 def default_stability() -> StabilityParameter:
@@ -268,18 +258,16 @@ def count_points(potential: CyclicPotential, theta: StabilityParameter, p: int) 
     return raw // (p - 1)
 
 
-@dataclass(frozen=True)
-class CountReport:
-    """Counts over a list of primes plus an interpolated counting polynomial."""
+class CountReport(_Record):
+    """Counts over a list of primes plus an interpolated counting polynomial (c0..c3)."""
 
-    theta: StabilityParameter
-    primes: Tuple[int, ...]
-    counts: Dict[int, int]
-    excluded: Tuple[int, ...]
-    polynomial: Optional[Tuple[Fraction, Fraction, Fraction, Fraction]]  # c0..c3
-    euler_characteristic: Optional[Fraction]
-    matches_classical: Optional[bool]
-    note: str
+    __slots__ = ("theta", "primes", "counts", "excluded", "polynomial", "euler_characteristic",
+                 "matches_classical", "note")
+
+    def __init__(self, theta: StabilityParameter, primes: Tuple[int, ...], counts: Dict[int, int],
+                 excluded: Tuple[int, ...], polynomial: Optional[Tuple[Fraction, Fraction, Fraction, Fraction]],
+                 euler_characteristic: Optional[Fraction], matches_classical: Optional[bool], note: str):
+        self._assign(theta, primes, counts, excluded, polynomial, euler_characteristic, matches_classical, note)
 
     def to_json(self):
         return {

@@ -21,11 +21,12 @@ on polynomials, so the symbolic proof covers the formulas the search runs.
 Curve membership is checked where a configuration enters the library:
 the ``EllipticConfiguration`` constructor, ``make_configuration`` and
 ``random_configuration``.  ``apply_group_element``, the one transform of
-configurations, builds its images without the check, because each
-generator maps the curve over a parameter onto the curve over the image
-parameter; ``verify_equation_preservation`` proves this as a polynomial
-identity.  An orbit search builds up to 192 images, and checking each of
-them would about double its cost.
+configurations, builds its images through ``_unchecked``, which skips the
+check: each generator maps the curve over a parameter onto the curve over
+the image parameter, as ``verify_equation_preservation`` proves.  An
+orbit search builds up to 192 images, and checking each would about
+double its cost.  For the same loop, the three value classes spell out
+their constructors and equality field by field.
 
 Equality of points is literal field equality after a canonical
 projective normalization, so orbit search is an exact finite
@@ -34,14 +35,13 @@ enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from random import Random
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .exact import GAUSSIAN_I, GaussianRational, ScalarLike, _Poly
+from .exact import GAUSSIAN_I, GaussianRational, ScalarLike, _Poly, _Record
 
 TRANSLATION_NAMES = ("t1", "t2", "t3")
 
@@ -60,21 +60,27 @@ _ZERO = GaussianRational(0)
 _ONE = GaussianRational(1)
 
 
-@dataclass(frozen=True, slots=True)
-class LambdaPair:
+class LambdaPair(_Record):
     """The pencil parameter as a homogeneous pair (l0 : l1)."""
 
-    l0: GaussianRational
-    l1: GaussianRational
+    __slots__ = ("l0", "l1")
 
-    def __post_init__(self):
-        object.__setattr__(self, "l0", GaussianRational.coerce(self.l0))
-        object.__setattr__(self, "l1", GaussianRational.coerce(self.l1))
-        if self.l0.is_zero() or self.l1.is_zero() or self.l0 == self.l1:
+    def __init__(self, l0: ScalarLike, l1: ScalarLike):
+        l0, l1 = GaussianRational.coerce(l0), GaussianRational.coerce(l1)
+        if l0.is_zero() or l1.is_zero() or l0 == l1:
             raise DomainError(
-                f"degenerate pencil parameter ({self.l0!r} : {self.l1!r}); "
+                f"degenerate pencil parameter ({l0!r} : {l1!r}); "
                 "the affine value must avoid 0, 1 and infinity"
             )
+        object.__setattr__(self, "l0", l0)
+        object.__setattr__(self, "l1", l1)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.l0 == other.l0 and self.l1 == other.l1
+
+    __hash__ = _Record.__hash__  # defining __eq__ cleared the inherited hash
 
     @classmethod
     def from_affine(cls, value: ScalarLike) -> "LambdaPair":
@@ -85,13 +91,22 @@ class LambdaPair:
         return self.l0 / self.l1
 
 
-@dataclass(frozen=True, slots=True)
-class EllPoint:
+class EllPoint(_Record):
     """A curve point (X : Y : Z), weight (1, 1, 2), canonically normalized."""
 
-    x: GaussianRational
-    y: GaussianRational
-    z: GaussianRational
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: GaussianRational, y: GaussianRational, z: GaussianRational):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y and self.z == other.z
+
+    __hash__ = _Record.__hash__
 
     @classmethod
     def make(cls, x: ScalarLike, y: ScalarLike, z: ScalarLike) -> "EllPoint":
@@ -168,24 +183,31 @@ def translate(lam: LambdaPair, pt: EllPoint, which: str) -> EllPoint:
     return _image_point(lam, pt, which)
 
 
-@dataclass(frozen=True, slots=True)
-class EllipticConfiguration:
+class EllipticConfiguration(_Record):
     """A parameter together with an ordered pair of curve points.
 
     The constructor raises ``DomainError`` when a point is off the curve.
     ``apply_group_element`` preserves membership exactly (see
     ``verify_equation_preservation``), so it builds its images with
-    ``_unchecked`` and skips the check.
+    ``_unchecked``, which fills the slots without calling the constructor.
     """
 
-    lam: LambdaPair
-    p1: EllPoint
-    p2: EllPoint
+    __slots__ = ("lam", "p1", "p2")
 
-    def __post_init__(self):
-        for label, pt in (("first", self.p1), ("second", self.p2)):
-            if not on_curve(self.lam, pt):
+    def __init__(self, lam: LambdaPair, p1: EllPoint, p2: EllPoint):
+        for label, pt in (("first", p1), ("second", p2)):
+            if not on_curve(lam, pt):
                 raise DomainError(f"{label} point does not lie on the curve")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "p1", p1)
+        object.__setattr__(self, "p2", p2)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.lam == other.lam and self.p1 == other.p1 and self.p2 == other.p2
+
+    __hash__ = _Record.__hash__
 
 
 def _unchecked(cls, *values):
@@ -195,8 +217,7 @@ def _unchecked(cls, *values):
     nondegenerate and a point on the curve.
     """
     obj = object.__new__(cls)
-    for name, value in zip(cls.__slots__, values):
-        object.__setattr__(obj, name, value)
+    obj._assign(*values)
     return obj
 
 

@@ -16,6 +16,7 @@ matrix types used throughout:
   decided by them.
 * ``BinaryForm``: homogeneous forms in two variables over Q(i), with GCD.
 * ``_Poly``: sparse polynomials over Q(i), for the symbolic proofs.
+* ``_Record``: the base of the package's immutable value classes.
 
 Plain ``int`` and ``Fraction`` values coerce into ``GaussianRational``
 wherever a scalar is expected, which keeps call sites readable.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import SchemaError
@@ -301,6 +303,51 @@ def _quotient(num, den) -> GaussianRational:
 
 GAUSSIAN_I = GaussianRational.i()
 _ZERO = GaussianRational(0)
+
+
+# -- value records ----------------------------------------------------
+
+class _Record:
+    """Base of the package's value classes with named fields.
+
+    A subclass lists its fields in ``__slots__`` and sets them in its own
+    ``__init__`` with ``_assign`` or ``object.__setattr__``; a slot whose
+    name starts with an underscore holds data derived from the fields.
+    Records equal only records of their own class with equal fields, hash
+    as their fields, and refuse assignment and deletion (``AttributeError``).
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # every record has two fields or more, so the getter returns a tuple
+        cls._names = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls._fields = property(attrgetter(*cls._names))
+
+    def _assign(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields == other._fields
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # rebuild through __init__, which refills the derived slots
+        return self.__class__, self._fields
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._names, self._fields))
+        return f"{self.__class__.__name__}({fields})"
 
 
 # -- JSON scalar encoding ---------------------------------------------

@@ -25,7 +25,6 @@ slower than building it here.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from typing import Dict, List, Sequence, Tuple
@@ -36,6 +35,7 @@ from .exact import (
     ExactMatrix,
     GaussianRational,
     _Poly,
+    _Record,
     _poly_divmod,
     binary_form_gcd,
     fraction_str,
@@ -155,12 +155,11 @@ def sym_matrix_to_potential(n: SymmetricPotentialMatrix) -> CyclicPotential:
     return CyclicPotential(conifold_quiver(), terms)
 
 
-@dataclass(frozen=True, slots=True)
-class PotentialInvariants:
-    f1: Fraction
-    f2: Fraction
-    f3: Fraction
-    f4: Fraction
+class PotentialInvariants(_Record):
+    __slots__ = ("f1", "f2", "f3", "f4")
+
+    def __init__(self, f1: Fraction, f2: Fraction, f3: Fraction, f4: Fraction):
+        self._assign(f1, f2, f3, f4)
 
     def as_tuple(self):
         return (self.f1, self.f2, self.f3, self.f4)
@@ -291,16 +290,14 @@ def verify_covering_identities(n: SymmetricPotentialMatrix) -> bool:
 # -- fibers of the covering -------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class FiberReport:
+class FiberReport(_Record):
     """Outcome of the sign-pattern fiber experiment over a diagonal spectrum."""
 
-    spectrum: Tuple[Fraction, ...]
-    target: WeightedPoint
-    preimages: Tuple[WeightedPoint, ...]
-    preimage_count: int
-    target_consistent: bool
-    odd_patterns_differ: bool
+    __slots__ = ("spectrum", "target", "preimages", "preimage_count", "target_consistent", "odd_patterns_differ")
+
+    def __init__(self, spectrum: Tuple[Fraction, ...], target: WeightedPoint, preimages: Tuple[WeightedPoint, ...],
+                 preimage_count: int, target_consistent: bool, odd_patterns_differ: bool):
+        self._assign(spectrum, target, preimages, preimage_count, target_consistent, odd_patterns_differ)
 
 
 def _power_sums(values: Sequence[Fraction], top: int) -> List[Fraction]:

@@ -12,7 +12,6 @@ point of the weighted projective space with weights (2, 4, 4, 6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import List, Optional, Sequence, Tuple
 
@@ -22,6 +21,7 @@ from .exact import (
     ExactMatrix,
     GaussianRational,
     ScalarLike,
+    _Record,
     binary_form_gcd,
     scalar_from_json,
     scalar_to_json,
@@ -136,12 +136,11 @@ def linear_reference_quintuple() -> Quintuple:
     return Quintuple.from_matrix(J_MATRIX)
 
 
-@dataclass(frozen=True, slots=True)
-class QuintupleInvariants:
-    f2: GaussianRational
-    f4: GaussianRational
-    g4: GaussianRational
-    f6: GaussianRational
+class QuintupleInvariants(_Record):
+    __slots__ = ("f2", "f4", "g4", "f6")
+
+    def __init__(self, f2: GaussianRational, f4: GaussianRational, g4: GaussianRational, f6: GaussianRational):
+        self._assign(f2, f4, g4, f6)
 
     def as_tuple(self):
         return (self.f2, self.f4, self.g4, self.f6)
@@ -191,21 +190,18 @@ def classify_stability(q: Quintuple) -> str:
     return "strictly-semistable"
 
 
-@dataclass(frozen=True, slots=True)
-class WeightedPoint:
+class WeightedPoint(_Record):
     """A point of a weighted projective space, kept as raw coordinates."""
 
-    weights: Tuple[int, ...]
-    coords: Tuple[GaussianRational, ...]
+    __slots__ = ("weights", "coords")
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.coords):
+    def __init__(self, weights: Tuple[int, ...], coords: Sequence[ScalarLike]):
+        if len(weights) != len(coords):
             raise ValueError("weights and coordinates differ in length")
-        object.__setattr__(
-            self, "coords", tuple(GaussianRational.coerce(c) for c in self.coords)
-        )
-        if all(c.is_zero() for c in self.coords):
+        coords = tuple(GaussianRational.coerce(c) for c in coords)
+        if all(c.is_zero() for c in coords):
             raise DomainError("all coordinates vanish; not a point of weighted space")
+        self._assign(weights, coords)
 
     def to_json(self):
         return {

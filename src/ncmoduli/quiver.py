@@ -10,34 +10,30 @@ potentials is dictionary equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
-from .exact import GaussianRational, ScalarLike, row_reduce
+from .exact import GaussianRational, ScalarLike, _Record, row_reduce
 
 #: Longest path length accepted by :func:`graded_dimension`.
 MAX_GRADED_LENGTH = 8
 
 
-@dataclass(frozen=True)
-class Quiver:
-    """A finite quiver with uniquely labelled arrows."""
+class Quiver(_Record):
+    """A finite quiver with uniquely labelled arrows, each (label, source, target)."""
 
-    name: str
-    vertices: Tuple[str, ...]
-    arrows: Tuple[Tuple[str, str, str], ...]  # (label, source, target)
+    __slots__ = ("name", "vertices", "arrows", "_by_label")
 
-    def __post_init__(self):
+    def __init__(self, name: str, vertices: Tuple[str, ...], arrows: Tuple[Tuple[str, str, str], ...]):
         seen = set()
-        for label, src, tgt in self.arrows:
+        for label, src, tgt in arrows:
             if label in seen:
                 raise ValueError(f"duplicate arrow label {label!r}")
             seen.add(label)
-            if src not in self.vertices or tgt not in self.vertices:
+            if src not in vertices or tgt not in vertices:
                 raise ValueError(f"arrow {label!r} uses an unknown vertex")
-        object.__setattr__(self, "_by_label", {a[0]: a for a in self.arrows})
+        self._assign(name, vertices, arrows, {a[0]: a for a in arrows})
 
     def has_vertex(self, v: str) -> bool:
         return v in self.vertices
@@ -142,17 +138,20 @@ def framed_conifold_quiver() -> Quiver:
     )
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(_Record):
     """A composable word of arrows plus its endpoints.
 
     ``arrows`` is leftmost-first; a length-zero path is the lazy unit at
     its vertex.
     """
 
-    arrows: Tuple[str, ...]
-    source: str
-    target: str
+    __slots__ = ("arrows", "source", "target")
+
+    def __init__(self, arrows: Tuple[str, ...], source: str, target: str):
+        # set directly: algebra products build many paths
+        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
 
     @property
     def length(self) -> int:
@@ -292,18 +291,6 @@ class CyclicPotential:
     def is_homogeneous(self) -> bool:
         lengths = {len(w) for w in self.terms}
         return len(lengths) <= 1
-
-    def expanded(self) -> Dict[Word, Fraction]:
-        """Every distinct rotation of every stored word, with its coefficient.
-
-        The coefficients are those of the cyclic derivatives, so a word of
-        period d and length n gives each of its d rotations n/d times its own.
-        """
-        return {
-            (arrow,) + path: c
-            for arrow, derivative in _cyclic_derivatives(self).items()
-            for path, c in derivative.items()
-        }
 
     def scale(self, factor: Union[int, Fraction]) -> "CyclicPotential":
         f = Fraction(factor)

@@ -60,17 +60,22 @@ def test_unknown_names_raise():
         from ncmoduli import nope
 
 
-def loaded_submodules(code):
-    """The ``ncmoduli.*`` modules a fresh interpreter has loaded after ``code``."""
+def loaded_modules(code):
+    """The modules a fresh interpreter has loaded after ``code``."""
     env = dict(os.environ)
     src_dir = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src_dir, env.get("PYTHONPATH")) if p)
-    report = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.startswith('ncmoduli.'))))"
+    report = "import json, sys; print(json.dumps(sorted(sys.modules)))"
     result = subprocess.run(
         [sys.executable, "-c", f"{code}\n{report}"], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.splitlines()[-1])
+
+
+def loaded_submodules(code):
+    """The ``ncmoduli.*`` modules a fresh interpreter has loaded after ``code``."""
+    return [m for m in loaded_modules(code) if m.startswith("ncmoduli.")]
 
 
 def test_import_loads_no_submodule():
@@ -80,3 +85,10 @@ def test_import_loads_no_submodule():
 def test_a_name_loads_its_home_module_and_its_imports_only():
     loaded = loaded_submodules("from ncmoduli import orbit_equivalent")
     assert loaded == ["ncmoduli.elliptic", "ncmoduli.errors", "ncmoduli.exact"]
+
+
+def test_the_package_loads_neither_dataclasses_nor_inspect():
+    # dataclasses imports inspect, and with it ast, dis and tokenize, and
+    # builds each class's methods with exec; start-up pays for all of it
+    code = "\n".join(f"import ncmoduli.{module}" for module in (*ncmoduli._EXPORTS, "cli"))
+    assert [m for m in loaded_modules(code) if m in ("dataclasses", "inspect")] == []
