@@ -189,10 +189,13 @@ def classify_stability_potential(n: SymmetricPotentialMatrix) -> str:
     The invariants f1..f4 are the power sums of the four eigenvalues of
     N J.  By Newton's identities they all vanish exactly when the
     characteristic polynomial is x^4, so N J is nilpotent exactly when
-    every invariant vanishes.
+    every invariant vanishes.  A nonzero f1 = tr(N J) therefore decides
+    "semistable" alone; the four traces are formed only when f1 = 0.
     """
     if n.is_zero():
         raise DomainError("stability of the zero potential is not defined")
+    if not hamiltonian_matrix(n).trace().is_zero():
+        return "semistable"
     if invariants_potential(n).all_zero():
         return "unstable"
     return "semistable"

@@ -174,18 +174,17 @@ def invariants(q: Quintuple) -> QuintupleInvariants:
 def classify_stability(q: Quintuple) -> str:
     """One of "stable", "strictly-semistable", "unstable".
 
-    Stable means g4 does not vanish; unstable means the pairing matrix A
-    is nilpotent; anything else sits in between.  When g4 = det M
-    vanishes, so does det A = det(M)^2 det(J)^2, the product of the
-    eigenvalues of A.  Its other three elementary symmetric functions
-    follow from the power sums f2, f4, f6 = tr A, tr A^2, tr A^3 by
-    Newton's identities, so A is nilpotent (characteristic polynomial
-    x^4) exactly when every invariant vanishes.
+    Stable means g4 = det M does not vanish, which det M alone decides;
+    unstable means the pairing matrix A is nilpotent; anything else sits
+    in between.  When g4 vanishes, so does det A = det(M)^2 det(J)^2, the
+    product of the eigenvalues of A.  Its other three elementary
+    symmetric functions follow from the power sums f2, f4, f6 = tr A,
+    tr A^2, tr A^3 by Newton's identities, so A is nilpotent exactly
+    when every invariant vanishes.  Only then are the invariants formed.
     """
-    inv = invariants(q)
-    if not inv.g4.is_zero():
+    if not q.flatten().det().is_zero():
         return "stable"
-    if inv.all_zero():
+    if invariants(q).all_zero():
         return "unstable"
     return "strictly-semistable"
 

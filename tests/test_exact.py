@@ -386,6 +386,10 @@ def test_binary_form_gcd_coprime_and_shared():
     u1u2 = BinaryForm([0, 1, 0])
     assert binary_form_gcd([u1u2, u1sq]) == BinaryForm([1, 0])
     assert binary_form_gcd([u1u2, u2sq]) == BinaryForm([0, 1])
+    # coprime u1 parts leave the shared u2, until a form without u2 comes
+    u2_u1_plus_u2 = BinaryForm([0, 1, 1])
+    assert binary_form_gcd([u1u2, u2_u1_plus_u2]) == BinaryForm([0, 1])
+    assert binary_form_gcd([u1u2, u2_u1_plus_u2, u1sq]) == BinaryForm([1])
 
 
 def test_binary_form_gcd_zero_handling():
@@ -394,6 +398,7 @@ def test_binary_form_gcd_zero_handling():
     assert binary_form_gcd([zero, zero]).is_zero()
     assert binary_form_gcd([zero, f]) == f.normalized()
     assert binary_form_gcd([f]) == f.normalized()
+    assert binary_form_gcd([BinaryForm([3]), zero]) == BinaryForm([1])
 
 
 def test_binary_form_gcd_randomized_common_factor():

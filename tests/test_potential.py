@@ -9,6 +9,7 @@ from random import Random
 
 import pytest
 
+from ncmoduli import potential
 from ncmoduli.errors import DomainError
 from ncmoduli.exact import GaussianRational
 from ncmoduli.potential import (
@@ -168,10 +169,13 @@ def test_corner_matrix_is_unstable():
         weighted_point_potential(n)
 
 
-def test_stability_matches_nilpotency_of_the_hamiltonian():
-    # the reference is the definition: unstable exactly when N J is nilpotent
+def test_stability_matches_nilpotency_of_the_hamiltonian(count_calls):
+    # the reference is the definition: unstable exactly when N J is
+    # nilpotent; the invariants are formed only when tr(N J) = 0
+    calls = count_calls(potential, "invariants_potential")
     rng = Random(55)
     verdicts = {"unstable": 0, "semistable": 0}
+    fallback_semistable = 0
     for _ in range(300):
         rows = [[Fraction(0)] * 4 for _ in range(4)]
         for r in range(4):
@@ -181,10 +185,17 @@ def test_stability_matches_nilpotency_of_the_hamiltonian():
         n = SymmetricPotentialMatrix(rows)
         if n.is_zero():
             continue
-        expected = "unstable" if hamiltonian_matrix(n).is_nilpotent() else "semistable"
+        h = hamiltonian_matrix(n)
+        expected = "unstable" if h.is_nilpotent() else "semistable"
+        f1_zero = h.trace().is_zero()
+        before = len(calls)
         assert classify_stability_potential(n) == expected, n
+        assert len(calls) - before == (1 if f1_zero else 0), n
         verdicts[expected] += 1
+        if expected == "semistable" and f1_zero and not (h * h).trace().is_zero():
+            fallback_semistable += 1
     assert min(verdicts.values()) >= 20, verdicts
+    assert fallback_semistable >= 20, fallback_semistable
 
 
 def test_zero_matrix_rejected():

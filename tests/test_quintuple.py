@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from ncmoduli import quintuple
 from ncmoduli.errors import DomainError, SchemaError
 from ncmoduli.exact import BinaryForm, ExactMatrix, GaussianRational
 from ncmoduli.quintuple import (
@@ -103,9 +104,11 @@ def test_diagonal_with_kernel_is_strictly_semistable():
     assert classify_stability(q) == "strictly-semistable"
 
 
-def test_stability_matches_the_definition():
+def test_stability_matches_the_definition(count_calls):
     # the reference is the definition: stable when det M != 0, unstable
-    # when the pairing matrix is nilpotent, strictly semistable otherwise
+    # when the pairing matrix is nilpotent, strictly semistable otherwise;
+    # the invariants are formed only when det M = 0
+    calls = count_calls(quintuple, "invariants")
     rng = Random(66)
     scalars = (0, 0, 0, 0, 1, -1, 2, GaussianRational(0, 1), GaussianRational(1, -1))
 
@@ -136,9 +139,12 @@ def test_stability_matches_the_definition():
             expected = "unstable"
         else:
             expected = "strictly-semistable"
+        before = len(calls)
         assert classify_stability(q) == expected, q
+        assert len(calls) - before == (0 if expected == "stable" else 1), q
         verdicts[expected] += 1
         checked += 1
+    # every non-stable verdict has det M = 0 and went through the invariants
     assert min(verdicts.values()) >= 50, verdicts
 
 
@@ -146,6 +152,8 @@ def test_zero_tensor_rejected():
     q = _tensor_with({})
     with pytest.raises(DomainError):
         invariants(q)
+    with pytest.raises(DomainError, match="invariants of the zero tensor are not defined"):
+        classify_stability(q)
     with pytest.raises(DomainError):
         is_geometric(q)
 
