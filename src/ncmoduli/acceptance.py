@@ -15,7 +15,7 @@ from fractions import Fraction
 from random import Random
 from typing import List, Optional, Tuple
 
-from .errors import DomainError
+from .errors import DomainError, SchemaError
 from .dtcount import (
     FramedRep,
     count_points,
@@ -98,7 +98,7 @@ def _sample_size(samples: Optional[int], default: Optional[int]) -> Optional[int
     if samples is None:
         return default
     if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
+        raise SchemaError(f"--samples must be positive, got {samples}")
     if samples > MAX_SAMPLES:
         raise DomainError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
     return samples

@@ -232,8 +232,6 @@ def _cmd_dt_count(args) -> int:
 def _cmd_acceptance(args) -> int:
     from .acceptance import DEFAULT_SEED, run_acceptance
 
-    if args.samples is not None and args.samples < 1:
-        raise SchemaError(f"--samples must be positive, got {args.samples}")
     seed = DEFAULT_SEED if args.seed is None else args.seed
     results = run_acceptance(seed=seed, samples=args.samples)
     if args.json:

@@ -855,7 +855,8 @@ def binary_form_gcd(forms: Iterable[BinaryForm]) -> BinaryForm:
     Powers of u2 shared by all inputs are part of the answer: each form is
     split as u2^beta * g, the dehomogenized g parts are run through the
     Euclidean algorithm, and the minimum beta is restored at the end.
-    If every input is zero the zero form is returned.
+    If every input is zero the zero form is returned.  Once the gcd is 1
+    (a constant, and some beta = 0) no later form can lower it, so none is read.
     """
     min_beta = None
     poly_gcd: list = []
@@ -865,6 +866,8 @@ def binary_form_gcd(forms: Iterable[BinaryForm]) -> BinaryForm:
             continue
         min_beta = beta if min_beta is None else min(min_beta, beta)
         poly_gcd = _poly_gcd(poly_gcd, poly) if poly_gcd else _poly_gcd(poly, [])
+        if min_beta == 0 and len(poly_gcd) == 1:
+            return BinaryForm([1])
     if min_beta is None:
         return BinaryForm([0])
     coeffs = [GaussianRational(0)] * min_beta + (poly_gcd or [GaussianRational(1)])

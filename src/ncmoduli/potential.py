@@ -68,6 +68,9 @@ _ENTRY = {
     for r, c in _UPPER
     for (i, j), (k, l) in [(PAIR_INDEX[r], PAIR_INDEX[c])]
 }
+# _TRACE_NJ: (place of N[i][k] in _UPPER, J[k][i]) for the four nonzero J[k][i]
+_TRACE_NJ = tuple((_UPPER_POS[i][k], v.as_fraction()) for k, row in enumerate(J_MATRIX.rows)
+                  for i, v in enumerate(row) if v)
 
 
 class SymmetricPotentialMatrix:
@@ -183,18 +186,24 @@ def invariants_potential(n: SymmetricPotentialMatrix) -> PotentialInvariants:
     return PotentialInvariants(*(t.as_fraction() for t in traces))
 
 
+def _trace_nj(n: SymmetricPotentialMatrix) -> Fraction:
+    """f1 = tr(N J): N[i][k] J[k][i] summed over the four nonzero J[k][i]."""
+    return sum(n._upper[place] * v for place, v in _TRACE_NJ)
+
+
 def classify_stability_potential(n: SymmetricPotentialMatrix) -> str:
     """"unstable" when N J is nilpotent, otherwise "semistable".
 
     The invariants f1..f4 are the power sums of the four eigenvalues of
     N J.  By Newton's identities they all vanish exactly when the
     characteristic polynomial is x^4, so N J is nilpotent exactly when
-    every invariant vanishes.  A nonzero f1 = tr(N J) therefore decides
-    "semistable" alone; the four traces are formed only when f1 = 0.
+    every invariant vanishes.  A nonzero f1 = tr(N J), read off the four
+    nonzero entries of J, therefore decides "semistable" alone; N J and
+    its four traces are formed only when f1 = 0.
     """
     if n.is_zero():
         raise DomainError("stability of the zero potential is not defined")
-    if not hamiltonian_matrix(n).trace().is_zero():
+    if _trace_nj(n):
         return "semistable"
     if invariants_potential(n).all_zero():
         return "unstable"

@@ -272,6 +272,11 @@ def geometricity_minors(q: Quintuple, j: int) -> List[BinaryForm]:
     linear form in u1, u2; the minors come in row-pair order (0, 1),
     (0, 2), ..., (2, 3).
     """
+    return list(_minors(q, j))
+
+
+def _minors(q: Quintuple, j: int):
+    """The minors of ``geometricity_minors``, each built when it is read."""
     col = (j + 1) % 4
     slots = (j, col) + tuple(s for s in range(4) if s not in (j, col))
     # rows[m][a][c]: the u_(a+1) coefficient in row m, column c
@@ -279,16 +284,14 @@ def geometricity_minors(q: Quintuple, j: int) -> List[BinaryForm]:
     for index in product(range(2), repeat=4):
         a, c, k0, k1 = (index[s] for s in slots)
         rows[2 * k0 + k1][a][c] = q[index]
-    return [
-        BinaryForm(
+    for x, y in combinations(rows, 2):
+        yield BinaryForm(
             [
                 x[0][0] * y[0][1] - x[0][1] * y[0][0],
                 x[0][0] * y[1][1] + x[1][0] * y[0][1] - x[0][1] * y[1][0] - x[1][1] * y[0][0],
                 x[1][0] * y[1][1] - x[1][1] * y[1][0],
             ]
         )
-        for x, y in combinations(rows, 2)
-    ]
 
 
 def is_geometric(q: Quintuple) -> Tuple[bool, Optional[int]]:
@@ -297,11 +300,13 @@ def is_geometric(q: Quintuple) -> Tuple[bool, Optional[int]]:
     Slot j passes when the gcd of its six minors is a nonzero constant:
     a zero gcd (every minor vanishes) or one of positive degree leaves a
     common zero.  The first failing slot is reported alongside False.
+    Each minor is built when read, and ``binary_form_gcd`` stops reading
+    at the first one that leaves a constant gcd.
     """
     if q.is_zero():
         raise DomainError("geometricity of the zero tensor is not defined")
     for j in range(4):
-        gcd = binary_form_gcd(geometricity_minors(q, j))
+        gcd = binary_form_gcd(_minors(q, j))
         if gcd.degree or gcd.is_zero():
             return False, j
     return True, None

@@ -392,6 +392,21 @@ def test_binary_form_gcd_coprime_and_shared():
     assert binary_form_gcd([u1u2, u2_u1_plus_u2, u1sq]) == BinaryForm([1])
 
 
+def test_binary_form_gcd_stops_at_the_deciding_form():
+    def forms(*deciding):
+        yield from deciding
+        raise AssertionError("read a form after the gcd was decided")
+
+    u1sq, u2sq, u1u2 = BinaryForm([1, 0, 0]), BinaryForm([0, 0, 1]), BinaryForm([0, 1, 0])
+    zero = BinaryForm([0, 0, 0])
+    assert binary_form_gcd(forms(u1sq, u2sq)) == BinaryForm([1])
+    assert binary_form_gcd(forms(zero, BinaryForm([3]))) == BinaryForm([1])
+    # a constant u1 part with every beta > 0 leaves a power of u2 to share,
+    # so the fold reads on until a form without u2 comes
+    assert binary_form_gcd(forms(u1u2, u2sq, u1sq)) == BinaryForm([1])
+    assert binary_form_gcd(iter([u1u2, u2sq])) == BinaryForm([0, 1])
+
+
 def test_binary_form_gcd_zero_handling():
     zero = BinaryForm([0, 0])
     f = BinaryForm([2, 3])

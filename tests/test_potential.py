@@ -16,6 +16,7 @@ from ncmoduli.potential import (
     SPECTRUM_RESIDUAL_BOUND,
     SymmetricPotentialMatrix,
     _newton,
+    _trace_nj,
     classify_stability_potential,
     covering_image_invariants,
     fiber_experiment,
@@ -171,8 +172,10 @@ def test_corner_matrix_is_unstable():
 
 def test_stability_matches_nilpotency_of_the_hamiltonian(count_calls):
     # the reference is the definition: unstable exactly when N J is
-    # nilpotent; the invariants are formed only when tr(N J) = 0
+    # nilpotent; f1 = tr(N J) is read off J, and N J and the invariants
+    # are formed only when f1 = 0
     calls = count_calls(potential, "invariants_potential")
+    products = count_calls(potential, "hamiltonian_matrix")
     rng = Random(55)
     verdicts = {"unstable": 0, "semistable": 0}
     fallback_semistable = 0
@@ -187,10 +190,12 @@ def test_stability_matches_nilpotency_of_the_hamiltonian(count_calls):
             continue
         h = hamiltonian_matrix(n)
         expected = "unstable" if h.is_nilpotent() else "semistable"
+        assert _trace_nj(n) == h.trace(), n
         f1_zero = h.trace().is_zero()
-        before = len(calls)
+        before, products_before = len(calls), len(products)
         assert classify_stability_potential(n) == expected, n
         assert len(calls) - before == (1 if f1_zero else 0), n
+        assert len(products) - products_before == (1 if f1_zero else 0), n
         verdicts[expected] += 1
         if expected == "semistable" and f1_zero and not (h * h).trace().is_zero():
             fallback_semistable += 1

@@ -8,7 +8,7 @@ import pytest
 
 from ncmoduli import quintuple
 from ncmoduli.errors import DomainError, SchemaError
-from ncmoduli.exact import BinaryForm, ExactMatrix, GaussianRational
+from ncmoduli.exact import BinaryForm, ExactMatrix, GaussianRational, binary_form_gcd
 from ncmoduli.quintuple import (
     J_MATRIX,
     Quintuple,
@@ -396,3 +396,125 @@ def test_geometricity_matches_the_definition():
         verdicts[expected] = verdicts.get(expected, 0) + 1
         checked += 1
     assert set(verdicts) == {(True, None), (False, 0), (False, 1), (False, 2), (False, 3)}, verdicts
+
+
+
+def _nested(q):
+    return [[[[q[i, j, k, l] for l in range(2)] for k in range(2)] for j in range(2)] for i in range(2)]
+
+
+def test_geometricity_minors_is_a_list_in_row_pair_order():
+    # the benchmark probes read each list of minors more than once
+    q = _random_tensor(Random(71))
+    for j in range(4):
+        minors = geometricity_minors(q, j)
+        assert type(minors) is list and len(minors) == 6
+        assert all(type(f) is BinaryForm for f in minors)
+        assert minors == _reference_minors(_nested(q), j)
+        assert geometricity_minors(q, j) == minors
+
+
+def _remainder(a, b):
+    """The remainder of descending coefficient lists a by b, leading zeros dropped."""
+    while len(a) >= len(b):
+        factor = a[0] / b[0]
+        a = [x - factor * y for x, y in zip(a, b + [0] * (len(a) - len(b)))][1:]
+        while a and not a[0]:
+            a = a[1:]
+    return a
+
+
+def _fold_gcd(forms):
+    """The gcd of binary forms as a fold over every form, with no exit.
+
+    Each nonzero form is u2^beta * g with g(u1, 1) of full degree; the
+    g parts go through Euclid's algorithm and the least beta is restored.
+    """
+    beta, g = None, []
+    for form in forms:
+        coeffs = list(form.coeffs)
+        if not any(coeffs):
+            continue
+        k = next(k for k, c in enumerate(coeffs) if c)
+        beta = k if beta is None else min(beta, k)
+        a, b = g, coeffs[k:]
+        while b:
+            a, b = b, _remainder(a, b)
+        g = [c / a[0] for c in a]
+    if beta is None:
+        return BinaryForm([0])
+    return BinaryForm([0] * beta + g)
+
+
+def _degenerate_in_slot(rng, j):
+    """A random tensor whose slot-j contraction at u = (1, 0) has rank one,
+    so slot j has a base point."""
+    w = _nested(_random_tensor(rng))
+    col = (j + 1) % 4
+    others = [s for s in range(4) if s not in (j, col)]
+    r = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
+    c = [Fraction(rng.randint(-3, 3)) for _ in range(2)]
+    for index in product(range(2), repeat=4):
+        if index[j] == 0:
+            i0, i1, i2, i3 = index
+            w[i0][i1][i2][i3] = GaussianRational(r[2 * index[others[0]] + index[others[1]]] * c[index[col]])
+    return Quintuple(w)
+
+
+def _seeded_tensors(rng, count):
+    """Rational, Gaussian, rank-one, rank-two, pure and one-degenerate-slot tensors, in turn."""
+
+    def gauss():
+        return GaussianRational(rng.randint(-3, 3), rng.choice((0, 0, 1, -2)))
+
+    def flattening(m):
+        return [[[[m[2 * i + j][2 * k + l] for l in range(2)] for k in range(2)] for j in range(2)] for i in range(2)]
+
+    def rank_one():
+        u, v = [gauss() for _ in range(4)], [gauss() for _ in range(4)]
+        return [[x * y for y in v] for x in u]
+
+    out = []
+    while len(out) < count:
+        kind = len(out) % 6
+        if kind == 0:
+            q = _random_tensor(rng)
+        elif kind == 1:
+            q = Quintuple(flattening([[gauss() for _ in range(4)] for _ in range(4)]))
+        elif kind == 2:
+            q = Quintuple(flattening(rank_one()))
+        elif kind == 3:
+            q = Quintuple(flattening([[x + y for x, y in zip(r, s)] for r, s in zip(rank_one(), rank_one())]))
+        elif kind == 4:
+            a, b, c, d = ([gauss() for _ in range(2)] for _ in range(4))
+            q = Quintuple([[[[a[i] * b[j] * c[k] * d[l] for l in range(2)] for k in range(2)] for j in range(2)] for i in range(2)])
+        else:
+            q = _degenerate_in_slot(rng, rng.randrange(4))
+        if not q.is_zero():
+            out.append(q)
+    return out
+
+
+def test_gcd_exit_matches_a_fold_without_exit():
+    verdicts = {}
+    for q in _seeded_tensors(Random(73), 300):
+        expected = (True, None)
+        for j in range(4):
+            minors = geometricity_minors(q, j)
+            gcd = _fold_gcd(minors)
+            assert binary_form_gcd(minors) == gcd, (q, j)
+            assert binary_form_gcd(iter(minors)) == gcd, (q, j)
+            if expected[0] and (gcd.degree or gcd.is_zero()):
+                expected = (False, j)
+        assert is_geometric(q) == expected, q
+        verdicts[expected] = verdicts.get(expected, 0) + 1
+    assert set(verdicts) == {(True, None), (False, 0), (False, 1), (False, 2), (False, 3)}, verdicts
+    assert verdicts[(True, None)] >= 50, verdicts
+
+
+def test_a_geometric_tensor_builds_fewer_minors(count_calls):
+    built = count_calls(quintuple, "BinaryForm")
+    for q in (linear_reference_quintuple(), _random_tensor(Random(79))):
+        before = len(built)
+        assert is_geometric(q) == (True, None)
+        assert len(built) - before < 24, len(built) - before
