@@ -28,7 +28,7 @@ def _read_document(path: str):
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(raw)
@@ -39,9 +39,12 @@ def _read_document(path: str):
 def _write_text(text: str, path: str) -> None:
     if path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_document(doc, path: str) -> None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, SchemaError
@@ -46,7 +46,6 @@ from .quintuple import (
     Quintuple,
     WeightedPoint,
     invariants as quintuple_invariants,
-    pairing_matrix,
     weighted_point_equal,
 )
 from .quiver import CyclicPotential, conifold_quiver
@@ -259,21 +258,13 @@ def covering_image_invariants(inv: PotentialInvariants) -> Tuple[Fraction, Fract
 def _covering_polynomials():
     """Both sides of the covering identities, with the upper entries of N as variables.
 
-    Returns the power traces [f1, f2, f3, f4] of N J and (tr A, tr A^2,
-    det M, tr A^3) for the flattening M = N and A = M^T J M J, computed
-    by the same matrix code as the numbers.
+    Returns the power traces [f1, f2, f3, f4] of N J and ``quintuple.invariants``
+    of the image tensor, whose g4 is the division-free ``ExactMatrix.det``.
     """
     x = _Poly.variables(len(_UPPER))
     m = ExactMatrix._wrap(tuple(tuple(x[_UPPER_POS[r][c]] for c in range(4)) for r in range(4)))
     f = (m * J_MATRIX).power_traces(4)
-    f2, f4, f6 = pairing_matrix(Quintuple.from_matrix(m)).power_traces(3)
-    # det M by the Leibniz formula: ExactMatrix.det divides, and _Poly cannot
-    det = sum(
-        (-1) ** sum(a > b for k, a in enumerate(p) for b in p[k + 1:])
-        * m[0, p[0]] * m[1, p[1]] * m[2, p[2]] * m[3, p[3]]
-        for p in permutations(range(4))
-    )
-    return f, (f2, f4, det, f6)
+    return f, quintuple_invariants(Quintuple.from_matrix(m)).as_tuple()
 
 
 def prove_covering_identities() -> bool:
@@ -284,7 +275,7 @@ def prove_covering_identities() -> bool:
     identities :func:`verify_covering_identities` checks on one N hold for all.
     """
     f, tensor = _covering_polynomials()
-    return all(side.terms for side in tensor) and covering_image_invariants(PotentialInvariants(*f)) == tensor
+    return all(tensor) and covering_image_invariants(PotentialInvariants(*f)) == tensor
 
 
 def verify_covering_identities(n: SymmetricPotentialMatrix) -> bool:

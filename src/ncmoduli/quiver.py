@@ -437,7 +437,7 @@ def graded_dimension(
                     for q_word in enumerate_paths(quiver, source, g_source, dq):
                         # distinct paths give distinct words, so nothing cancels
                         rows.append({index[p_word + path + q_word]: c for path, c in g_terms})
-        dims.append(len(ambient) - len(row_reduce(rows)))
+        dims.append(len(ambient) - row_reduce(rows))
     return dims
 
 

@@ -208,6 +208,24 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["classify-potential", "-i", str(path)]) == 2
+    # bytes that are not UTF-8 are an input error too, not a traceback
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff[]")
+    capsys.readouterr()
+    assert main(["classify-potential", "-i", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: cannot read {path}: ")
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    src = _write(tmp_path, "phi.json", CLASSICAL)
+    out_path = tmp_path / "missing" / "out.json"
+    assert main(["classify-potential", "-i", src, "-o", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: cannot write {out_path}: ")
+    assert not out_path.parent.exists()
 
 
 def test_wrong_schema_exits_2(tmp_path):

@@ -4,8 +4,8 @@ Criterion 1 checks f2' = f2, f4' = f4, g4' = e4 and f6' = p6 on sampled
 matrices and runs ``prove_covering_identities``, which takes the ten
 upper entries of N as variables and compares both sides as polynomials.
 Here the symbolic sides are also evaluated at rational points against
-the exact invariants, and a wrong Newton coefficient must fail both the
-proof and criterion 1.
+the exact invariants, and a wrong Newton coefficient or a negated
+determinant must fail both the proof and criterion 1.
 """
 
 from fractions import Fraction
@@ -14,6 +14,7 @@ from random import Random
 import pytest
 
 from ncmoduli import acceptance, potential
+from ncmoduli.exact import ExactMatrix
 from ncmoduli.potential import (
     SymmetricPotentialMatrix,
     invariants_potential,
@@ -64,6 +65,17 @@ def test_unmutated_copy_proves():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(potential, "_newton", _mutated_newton(4, 1))
         assert prove_covering_identities()
+
+
+def test_negated_det_fails_the_proof_and_criterion_1(monkeypatch):
+    # g4 comes from ExactMatrix.det in the proof as in the numbers, so a
+    # wrong determinant must break the proof too
+    det = ExactMatrix.det
+    monkeypatch.setattr(ExactMatrix, "det", lambda self: -det(self))
+    assert prove_covering_identities() is False
+    result = acceptance.criterion_1()
+    assert not result.passed
+    assert "symbolic proof FAILED" in result.detail
 
 
 @pytest.mark.parametrize("e4_divisor, i4_factor", [(5, 1), (4, 2)], ids=["e4 over 5", "i=4 term doubled"])

@@ -301,9 +301,24 @@ def test_matrix_det_matches_sympy():
         m = ExactMatrix([[1 if c == perm[r] else 0 for c in range(4)] for r in range(4)])
         assert m.rank() == 4
         assert _to_sympy(m.det()) == _sympy_matrix(m).det() in (1, -1)
-    # the first pivot lies below the first row
+    # a zero in the corner where the expansion starts
     m = ExactMatrix([[0, 2, 1], [3, 1, GaussianRational(0, 1)], [1, 1, 1]])
     assert _to_sympy(m.det()) == sympy.expand(_sympy_matrix(m).det())
+    # 1x1: the entry itself, zero included
+    assert ExactMatrix([[GaussianRational(Fraction(-2, 3), 5)]]).det() == GaussianRational(Fraction(-2, 3), 5)
+    assert ExactMatrix([[0]]).det() == 0
+    # 2x2 over Q(i): (1 + i)(1 - i) - (2i)(i/2) = 2 + 1
+    i = GaussianRational.i()
+    assert ExactMatrix([[1 + i, 2 * i], [i / 2, 1 - i]]).det() == 3
+    # a zero column leaves no full minor
+    m = _random_matrix(rng)
+    m = ExactMatrix([[0 if c == 2 else v for c, v in enumerate(row)] for row in m.rows])
+    assert m.det() == 0 == _sympy_matrix(m).det()
+    # 6x6, past the sizes the library uses
+    m = _random_matrix(rng, n=6)
+    assert _to_sympy(m.det()) == sympy.expand(_sympy_matrix(m).det())
+    with pytest.raises(ValueError):
+        ExactMatrix([[1, 2, 3], [4, 5, 6]]).det()
 
 
 def test_matrix_det_exact_on_awkward_denominators():
