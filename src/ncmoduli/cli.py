@@ -32,7 +32,7 @@ def _read_document(path: str):
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -216,6 +216,7 @@ def _parse_int_list(text: str, what: str):
 
 def _cmd_dt_count(args) -> int:
     from .dtcount import StabilityParameter, counting_report
+    from .exact import _rational_literal
 
     doc = _read_document(args.potential)
     phi = potential_from_json(doc)
@@ -223,10 +224,7 @@ def _cmd_dt_count(args) -> int:
     theta_parts = args.theta.split(",")
     if len(theta_parts) != 3:
         raise SchemaError("theta needs three comma-separated rationals")
-    try:
-        theta = StabilityParameter.from_values([Fraction(t) for t in theta_parts])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad theta {args.theta!r}") from exc
+    theta = StabilityParameter.from_values([_rational_literal(t) for t in theta_parts])
     report = counting_report(phi, theta, primes)
     _write_document(report.to_json(), args.output)
     return 0

@@ -24,12 +24,13 @@ wherever a scalar is expected, which keeps call sites readable.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import attrgetter
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .errors import SchemaError
+from .errors import DomainError, SchemaError
 
 ScalarLike = Union[int, Fraction, "GaussianRational"]
 
@@ -315,14 +316,22 @@ class _Record:
     name starts with an underscore holds data derived from the fields.
     Records equal only records of their own class with equal fields, hash
     as their fields, and refuse assignment and deletion (``AttributeError``).
+    A record may have one field (``ExactMatrix.rows``), and one whose
+    fields hold a dict sets ``__hash__ = None``.  Seven classes keep their
+    own equality: ``GaussianRational`` and ``PrimeFieldElement`` equal ints
+    and Fractions and their arithmetic is hot; ``_Poly`` equals scalars;
+    ``SymmetricPotentialMatrix`` keeps only a derived slot and is built
+    from rows; ``LambdaPair``, ``EllPoint`` and ``EllipticConfiguration``
+    sit in the orbit search's inner loop.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        # every record has two fields or more, so the getter returns a tuple
         cls._names = tuple(name for name in cls.__slots__ if name[0] != "_")
-        cls._fields = property(attrgetter(*cls._names))
+        get = attrgetter(*cls._names)
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        cls._fields = property(get if len(cls._names) > 1 else lambda self: (get(self),))
 
     def _assign(self, *values):
         for name, value in zip(self.__slots__, values):
@@ -354,9 +363,13 @@ class _Record:
 
 def fraction_str(value: Union[int, Fraction]) -> str:
     f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        if f.denominator == 1:
+            return str(f.numerator)
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError as exc:  # an int longer than the interpreter prints
+        limit = sys.get_int_max_str_digits()
+        raise DomainError(f"result exceeds the {limit}-digit limit for printing an integer") from exc
 
 
 def scalar_to_json(value: ScalarLike):
@@ -367,10 +380,13 @@ def scalar_to_json(value: ScalarLike):
     return {"re": fraction_str(g.re), "im": fraction_str(g.im)}
 
 
-def _fraction_from_json(doc) -> Fraction:
+def _rational_literal(doc) -> Fraction:
+    """A string such as "-3", "2/7" or "0.25" as a ``Fraction``; no exponents: "1e999999999" takes hours."""
     if isinstance(doc, bool) or not isinstance(doc, str):
         raise SchemaError(f"expected a rational encoded as a string, got {doc!r}")
     try:
+        if "e" in doc or "E" in doc:
+            raise ValueError
         return Fraction(doc)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational literal {doc!r}") from exc
@@ -381,8 +397,8 @@ def scalar_from_json(doc) -> GaussianRational:
     if isinstance(doc, dict):
         if set(doc) != {"re", "im"}:
             raise SchemaError(f"Gaussian scalar must have exactly re/im keys, got {sorted(doc)}")
-        return GaussianRational(_fraction_from_json(doc["re"]), _fraction_from_json(doc["im"]))
-    return GaussianRational(_fraction_from_json(doc))
+        return GaussianRational(_rational_literal(doc["re"]), _rational_literal(doc["im"]))
+    return GaussianRational(_rational_literal(doc))
 
 
 def rational_from_json(doc) -> Fraction:
@@ -521,7 +537,7 @@ def row_reduce(rows: Iterable[Mapping[int, GaussianRational]]) -> int:
     return len(tails)
 
 
-class ExactMatrix:
+class ExactMatrix(_Record):
     """A dense matrix over Q(i) supporting exact rank, determinant and powers."""
 
     __slots__ = ("rows",)
@@ -535,13 +551,13 @@ class ExactMatrix:
         width = len(coerced[0])
         if any(len(row) != width for row in coerced):
             raise ValueError("ragged rows")
-        self.rows = coerced
+        object.__setattr__(self, "rows", coerced)
 
     @classmethod
     def _wrap(cls, rows) -> "ExactMatrix":
         """A matrix on a rectangular tuple of tuples of GaussianRational (or ``_Poly``), unchecked."""
         m = _new_object(cls)
-        m.rows = rows
+        object.__setattr__(m, "rows", rows)
         return m
 
     @classmethod
@@ -563,18 +579,6 @@ class ExactMatrix:
     def __getitem__(self, key) -> GaussianRational:
         i, j = key
         return self.rows[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        body = "; ".join(" ".join(repr(e) for e in row) for row in self.rows)
-        return f"ExactMatrix[{body}]"
 
     def is_zero(self) -> bool:
         return not any(map(any, self.rows))
@@ -715,7 +719,7 @@ class ExactMatrix:
 
 # -- binary forms -----------------------------------------------------
 
-class BinaryForm:
+class BinaryForm(_Record):
     """A homogeneous form in two variables u1, u2 over Q(i).
 
     ``coeffs[k]`` multiplies ``u1^(d-k) * u2^k`` where d is the degree,
@@ -727,7 +731,7 @@ class BinaryForm:
     def __init__(self, coeffs: Sequence[ScalarLike]):
         if not coeffs:
             raise ValueError("a binary form needs at least one coefficient")
-        self.coeffs = tuple(GaussianRational.coerce(c) for c in coeffs)
+        object.__setattr__(self, "coeffs", tuple(GaussianRational.coerce(c) for c in coeffs))
 
     @property
     def degree(self) -> int:
@@ -760,17 +764,6 @@ class BinaryForm:
         return BinaryForm(out)
 
     __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"BinaryForm{list(self.coeffs)!r}"
 
     def normalized(self) -> "BinaryForm":
         """Rescale so the first nonzero coefficient is 1 (zero stays zero)."""

@@ -40,11 +40,12 @@ J_MATRIX = ExactMatrix(
 )
 
 
-class Quintuple:
+class Quintuple(_Record):
     """A 2x2x2x2 tensor over Q(i), stored as its 4x4 flattening M.
 
     ``q[i, j, k, l]`` is M[2i + j][2k + l]; the constructor and the JSON
-    form take the nested array w[i][j][k][l].
+    form take the nested array w[i][j][k][l], so pickling goes through
+    ``from_matrix``.
     """
 
     __slots__ = ("m",)
@@ -64,19 +65,14 @@ class Quintuple:
             )
         except (TypeError, IndexError, ValueError, KeyError) as exc:
             raise SchemaError("a quintuple needs a full 2x2x2x2 nested array") from exc
-        self.m = ExactMatrix._wrap(rows)
+        object.__setattr__(self, "m", ExactMatrix._wrap(rows))
 
     def __getitem__(self, key):
         i, j, k, l = key
         return self.m.rows[2 * i + j][2 * k + l]
 
-    def __eq__(self, other):
-        if not isinstance(other, Quintuple):
-            return NotImplemented
-        return self.m == other.m
-
-    def __hash__(self):
-        return hash(self.m)
+    def __reduce__(self):
+        return Quintuple.from_matrix, (self.m,)
 
     def __repr__(self):
         nonzero = [
@@ -102,7 +98,7 @@ class Quintuple:
         if (m.nrows, m.ncols) != (4, 4):
             raise ValueError("expected a 4x4 matrix")
         q = object.__new__(cls)
-        q.m = m
+        object.__setattr__(q, "m", m)
         return q
 
     def to_json(self):

@@ -148,10 +148,7 @@ class Path(_Record):
     __slots__ = ("arrows", "source", "target")
 
     def __init__(self, arrows: Tuple[str, ...], source: str, target: str):
-        # set directly: algebra products build many paths
-        object.__setattr__(self, "arrows", arrows)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
+        self._assign(arrows, source, target)
 
     @property
     def length(self) -> int:
@@ -171,19 +168,19 @@ class Path(_Record):
         return (self.source, self.length, self.arrows)
 
 
-class AlgebraElement:
+class AlgebraElement(_Record):
     """A finite Q(i)-combination of paths in a fixed quiver."""
 
     __slots__ = ("quiver", "terms")
+    __hash__ = None
 
     def __init__(self, quiver: Quiver, terms: Mapping[Path, ScalarLike] = ()):
-        self.quiver = quiver
         clean: Dict[Path, GaussianRational] = {}
         for path, coeff in dict(terms).items():
             c = GaussianRational.coerce(coeff)
             if not c.is_zero():
                 clean[path] = c
-        self.terms = clean
+        self._assign(quiver, clean)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -226,11 +223,6 @@ class AlgebraElement:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.quiver == other.quiver and self.terms == other.terms
-
     def __repr__(self):
         if not self.terms:
             return "AlgebraElement(0)"
@@ -255,7 +247,7 @@ def _check_cyclic_word(quiver: Quiver, word: Word) -> None:
         raise DomainError(f"word {word} does not close up into a cycle")
 
 
-class CyclicPotential:
+class CyclicPotential(_Record):
     """A rational combination of cyclic words, one canonical rotation per cycle.
 
     Coefficients passed for different rotations of the same cycle
@@ -263,9 +255,9 @@ class CyclicPotential:
     """
 
     __slots__ = ("quiver", "terms")
+    __hash__ = None
 
     def __init__(self, quiver: Quiver, terms: Mapping[Word, Union[int, Fraction]] = ()):
-        self.quiver = quiver
         clean: Dict[Word, Fraction] = {}
         for word, coeff in dict(terms).items():
             word = tuple(word)
@@ -280,7 +272,7 @@ class CyclicPotential:
                 clean.pop(key, None)
             else:
                 clean[key] = merged
-        self.terms = clean
+        self._assign(quiver, clean)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -303,11 +295,6 @@ class CyclicPotential:
         for word, coeff in other.terms.items():
             merged[word] = merged.get(word, Fraction(0)) + coeff
         return CyclicPotential(self.quiver, merged)
-
-    def __eq__(self, other):
-        if not isinstance(other, CyclicPotential):
-            return NotImplemented
-        return self.quiver == other.quiver and self.terms == other.terms
 
     def __repr__(self):
         bits = [f"{c}*{'.'.join(w)}" for w, c in sorted(self.terms.items())]

@@ -216,6 +216,36 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"input error: cannot read {path}: ")
+    # nesting deeper than the parser's recursion limit is invalid JSON too
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["classify-quintuple", "-i", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: invalid JSON in {path}: ")
+
+
+def test_result_too_long_to_print_exits_3(tmp_path, capsys):
+    # each invariant is a power of the coefficient, so f4 has about 4,400 digits
+    src = _write(tmp_path, "big.json", [{"cycle": ["a1", "b1", "a2", "b2"], "coeff": "1" * 1100}])
+    for command in ("classify-potential", "map-potential"):
+        assert main([command, "-i", src]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"domain error: result exceeds the {sys.get_int_max_str_digits()}-digit limit for printing an integer\n"
+    assert main(["hilbert", "-i", src, "--max-length", "4"]) == 0
+
+
+def test_exponent_literal_theta_exits_2_at_once(tmp_path):
+    # Fraction("1e999999999") would build a billion-digit power of ten
+    src = _write(tmp_path, "phi.json", CLASSICAL)
+    argv = ["dt-count", "--potential", src, "--primes", "5,7,11,13", "--theta", "1e999999999,-1,2"]
+    result = subprocess.run(
+        [sys.executable, "-m", "ncmoduli", *argv], capture_output=True, env=_source_env(), timeout=30
+    )
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert result.stderr == b"input error: bad rational literal '1e999999999'\n"
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):
@@ -317,6 +347,7 @@ CONFIGURATION_ERRORS = [
     (dict(ORBIT_BASE, p1=["-1", "1"]), 2, "input error: p1 must be a list of three scalars"),
     (dict(ORBIT_BASE, p2="x"), 2, "input error: p2 must be a list of three scalars"),
     (dict(ORBIT_BASE, p1=["-1", "1", "2/0"]), 2, "input error: bad rational literal '2/0'"),
+    (dict(ORBIT_BASE, p1=["-1", "1", "1e5"]), 2, "input error: bad rational literal '1e5'"),
     (
         dict(ORBIT_BASE, **{"lambda": "1"}),
         3,

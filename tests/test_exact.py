@@ -231,6 +231,12 @@ def test_scalar_json_rejects_garbage():
     with pytest.raises(SchemaError):
         rational_from_json({"re": "1", "im": "2"})
     assert rational_from_json("5/3") == Fraction(5, 3)
+    # exponent notation is refused; the other literal forms stay accepted
+    for literal in ("1e5", "2.5E-3"):
+        with pytest.raises(SchemaError, match="bad rational literal"):
+            scalar_from_json(literal)
+    for literal in ("0.25", " -3/4 ", "1_000", "-.5", "+7"):
+        assert rational_from_json(literal) == Fraction(literal)
 
 
 def test_prime_field_arithmetic():

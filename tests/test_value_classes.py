@@ -17,10 +17,10 @@ from ncmoduli.acceptance import CriterionResult
 from ncmoduli.dtcount import CountReport, FramedRep, StabilityParameter
 from ncmoduli.elliptic import EllipticConfiguration, EllPoint, LambdaPair, random_configuration
 from ncmoduli.errors import DomainError
-from ncmoduli.exact import GaussianRational, PrimeFieldElement
-from ncmoduli.potential import FiberReport, PotentialInvariants
-from ncmoduli.quintuple import QuintupleInvariants, WeightedPoint
-from ncmoduli.quiver import Path, Quiver
+from ncmoduli.exact import BinaryForm, ExactMatrix, GaussianRational, PrimeFieldElement
+from ncmoduli.potential import FiberReport, PotentialInvariants, invariants_potential, potential_to_sym_matrix
+from ncmoduli.quintuple import Quintuple, QuintupleInvariants, WeightedPoint, linear_reference_quintuple
+from ncmoduli.quiver import AlgebraElement, CyclicPotential, Path, Quiver, conifold_potential, conifold_quiver
 
 G = GaussianRational
 
@@ -55,6 +55,20 @@ def _cases():
         (LambdaPair, ("l0", "l1"), (G(2), G(1)), G(3)),
         (EllPoint, ("x", "y", "z"), (G(1), G(0), G(1)), G(2)),
         (EllipticConfiguration, ("lam", "p1", "p2"), (cfg.lam, cfg.p1, cfg.p2), cfg.p1),
+        (ExactMatrix, ("rows",), (((G(1), G(2)), (G(3), G(4))),), ((G(1), G(2)), (G(3), G(5)))),
+        (BinaryForm, ("coeffs",), ((G(1), G(0), G(-2)),), (G(1), G(0), G(2))),
+        (
+            CyclicPotential,
+            ("quiver", "terms"),
+            (conifold_quiver(), {("a1", "b1", "a2", "b2"): Fraction(1)}),
+            {("a1", "b1", "a2", "b2"): Fraction(2)},
+        ),
+        (
+            AlgebraElement,
+            ("quiver", "terms"),
+            (conifold_quiver(), {Path(("a1",), "v0", "v1"): G(1)}),
+            {Path(("a1",), "v0", "v1"): G(0, 1)},
+        ),
     ]
 
 
@@ -75,8 +89,8 @@ def test_equality_and_hash_follow_the_fields(cls, names, values, changed):
     first, second = cls(*values), cls(*values)
     assert first == second and not first != second
     assert cls(*values[:-1], changed) != first
-    if cls is CriterionResult:
-        with pytest.raises(TypeError, match="unhashable"):
+    if cls in (CriterionResult, CyclicPotential, AlgebraElement):
+        with pytest.raises(TypeError, match=f"unhashable type: '{cls.__name__}'"):
             hash(first)
     elif cls is CountReport:
         with pytest.raises(TypeError, match="unhashable type: 'dict'"):  # its counts field
@@ -100,6 +114,30 @@ def test_fields_are_read_only_except_on_criterion_results(cls, names, values, ch
         delattr(record, names[0])
     with pytest.raises(AttributeError):
         record.extra = 1
+
+
+def test_quintuple_is_a_record_on_its_flattening():
+    entries = [[[[G(8 * i + 4 * j + 2 * k + l) for l in range(2)] for k in range(2)] for j in range(2)] for i in range(2)]
+    first, second = Quintuple(entries), Quintuple(entries)
+    assert first == second and hash(first) == hash(second)
+    assert first == Quintuple.from_matrix(first.m)
+    assert first.scale(2) != first and first != first.m
+    assert copy.deepcopy(first) == first
+    assert pickle.loads(pickle.dumps(first)) == first
+    with pytest.raises(AttributeError, match="cannot assign to field 'm'"):
+        first.m = second.m
+    with pytest.raises(AttributeError, match="cannot delete field 'm'"):
+        del first.m
+    assert repr(first).startswith("Quintuple(w[0001]=1, w[0010]=2, ")
+
+
+def test_the_pairing_constant_cannot_be_rewritten_through_a_tensor():
+    base = potential_to_sym_matrix(conifold_potential())
+    expected = (Fraction(2), Fraction(1), Fraction(1, 2), Fraction(1, 4))
+    assert invariants_potential(base).as_tuple() == expected
+    with pytest.raises(AttributeError, match="cannot assign to field 'rows'"):
+        linear_reference_quintuple().flatten().rows = ExactMatrix.identity(4).rows
+    assert invariants_potential(base).as_tuple() == expected
 
 
 def test_records_of_different_classes_are_unequal():
