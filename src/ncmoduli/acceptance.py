@@ -69,12 +69,9 @@ MAX_SAMPLES = 500
 
 
 class CriterionResult(_Record):
-    """One criterion's outcome; unlike the other records it is mutable and unhashable."""
+    """One criterion's outcome."""
 
     __slots__ = ("index", "name", "passed", "seconds", "detail")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, index: int, name: str, passed: bool, seconds: float, detail: str):
         self._assign(index, name, passed, seconds, detail)

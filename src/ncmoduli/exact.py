@@ -16,7 +16,7 @@ matrix types used throughout:
   that never divides, which the covering proof runs on ``_Poly`` entries.
 * ``BinaryForm``: homogeneous forms in two variables over Q(i), with GCD.
 * ``_Poly``: sparse polynomials over Q(i), for the symbolic proofs.
-* ``_Record``: the base of the package's immutable value classes.
+* ``_Record``: the read-only base of every class with public fields.
 
 Plain ``int`` and ``Fraction`` values coerce into ``GaussianRational``
 wherever a scalar is expected, which keeps call sites readable.
@@ -309,7 +309,7 @@ _ZERO = GaussianRational(0)
 # -- value records ----------------------------------------------------
 
 class _Record:
-    """Base of the package's value classes with named fields.
+    """Base of every class in the package with public fields.
 
     A subclass lists its fields in ``__slots__`` and sets them in its own
     ``__init__`` with ``_assign`` or ``object.__setattr__``; a slot whose
@@ -317,12 +317,9 @@ class _Record:
     Records equal only records of their own class with equal fields, hash
     as their fields, and refuse assignment and deletion (``AttributeError``).
     A record may have one field (``ExactMatrix.rows``), and one whose
-    fields hold a dict sets ``__hash__ = None``.  Seven classes keep their
-    own equality: ``GaussianRational`` and ``PrimeFieldElement`` equal ints
-    and Fractions and their arithmetic is hot; ``_Poly`` equals scalars;
-    ``SymmetricPotentialMatrix`` keeps only a derived slot and is built
-    from rows; ``LambdaPair``, ``EllPoint`` and ``EllipticConfiguration``
-    sit in the orbit search's inner loop.
+    fields hold a dict sets ``__hash__ = None``.  The one rule: a class
+    writes its own equality only when it equals plain numbers, as
+    ``GaussianRational``, ``PrimeFieldElement`` and ``_Poly`` do.
     """
 
     __slots__ = ()
@@ -411,16 +408,19 @@ def rational_from_json(doc) -> Fraction:
 
 # -- prime fields -----------------------------------------------------
 
-class PrimeFieldElement:
-    """An element of F_p; the modulus must be prime so inversion is total."""
+class PrimeFieldElement(_Record):
+    """An element of F_p; the modulus must be prime so inversion is total.
 
-    __slots__ = ("p", "value")
+    It equals the ints congruent to it, so it keeps its own equality and
+    hash; the record base makes its fields read-only.
+    """
+
+    __slots__ = ("value", "p")
 
     def __init__(self, value: int, p: int):
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-        self.p = p
-        self.value = value % p
+        self._assign(value % p, p)
 
     def _other(self, other):
         if isinstance(other, PrimeFieldElement):

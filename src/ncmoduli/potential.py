@@ -25,6 +25,7 @@ slower than building it here.
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Sequence, Tuple
@@ -72,14 +73,15 @@ _TRACE_NJ = tuple((_UPPER_POS[i][k], v.as_fraction()) for k, row in enumerate(J_
                   for i, v in enumerate(row) if v)
 
 
-class SymmetricPotentialMatrix:
+class SymmetricPotentialMatrix(_Record):
     """A symmetric 4x4 rational matrix encoding a quartic conifold potential.
 
-    Only the ten entries on and above the diagonal are stored; ``n`` gives
-    the full matrix as a tuple of row tuples.
+    Its one field ``upper`` holds the ten entries on and above the
+    diagonal, in ``_UPPER`` order; ``n`` gives the full matrix as a tuple
+    of row tuples, and the constructor takes those rows.
     """
 
-    __slots__ = ("_upper",)
+    __slots__ = ("upper",)
 
     def __init__(self, rows: Sequence[Sequence[Fraction]]):
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
@@ -89,30 +91,26 @@ class SymmetricPotentialMatrix:
             for c in range(r):
                 if n[r][c] != n[c][r]:
                     raise DomainError(f"matrix is not symmetric at ({r}, {c})")
-        self._upper = tuple(n[r][c] for r, c in _UPPER)
+        object.__setattr__(self, "upper", tuple(n[r][c] for r, c in _UPPER))
+
+    def __reduce__(self):
+        # the constructor takes the rows, not the upper entries
+        return self.__class__, (self.n,)
 
     @property
     def n(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        u = self._upper
+        u = self.upper
         return tuple(tuple(u[_UPPER_POS[r][c]] for c in range(4)) for r in range(4))
 
     def __getitem__(self, key) -> Fraction:
         r, c = key
-        return self._upper[_UPPER_POS[r][c]]
-
-    def __eq__(self, other):
-        if not isinstance(other, SymmetricPotentialMatrix):
-            return NotImplemented
-        return self._upper == other._upper
-
-    def __hash__(self):
-        return hash(self.n)
+        return self.upper[_UPPER_POS[r][c]]
 
     def __repr__(self):
         return f"SymmetricPotentialMatrix({[list(map(str, r)) for r in self.n]})"
 
     def is_zero(self) -> bool:
-        return not any(self._upper)
+        return not any(self.upper)
 
     def to_exact(self) -> ExactMatrix:
         return ExactMatrix(self.n)
@@ -187,7 +185,7 @@ def invariants_potential(n: SymmetricPotentialMatrix) -> PotentialInvariants:
 
 def _trace_nj(n: SymmetricPotentialMatrix) -> Fraction:
     """f1 = tr(N J): N[i][k] J[k][i] summed over the four nonzero J[k][i]."""
-    return sum(n._upper[place] * v for place, v in _TRACE_NJ)
+    return sum(n.upper[place] * v for place, v in _TRACE_NJ)
 
 
 def classify_stability_potential(n: SymmetricPotentialMatrix) -> str:
@@ -282,12 +280,7 @@ def verify_covering_identities(n: SymmetricPotentialMatrix) -> bool:
     """Check, exactly, that the tensor invariants of the image match the predictions."""
     predicted = covering_image_invariants(invariants_potential(n))
     actual = quintuple_invariants(potential_to_quintuple(n))
-    return (
-        actual.f2 == predicted[0]
-        and actual.f4 == predicted[1]
-        and actual.g4 == predicted[2]
-        and actual.f6 == predicted[3]
-    )
+    return actual.as_tuple() == predicted
 
 
 # -- fibers of the covering -------------------------------------------
@@ -333,23 +326,17 @@ def fiber_experiment(spectrum: Sequence[Fraction]) -> FiberReport:
             weights=(1, 2, 3, 4),
             coords=tuple(GaussianRational(v) for v in p),
         )
-        prod = Fraction(1)
-        for v in ys:
-            prod *= v
         p6 = sum((v ** 6 for v in ys), Fraction(0))
         tgt = WeightedPoint(
             weights=(2, 4, 4, 6),
             coords=(
                 GaussianRational(p[1]),
                 GaussianRational(p[3]),
-                GaussianRational(prod),
+                GaussianRational(math.prod(ys)),
                 GaussianRational(p6),
             ),
         )
-        parity = 1
-        for s in signs:
-            parity *= s
-        if parity == 1:
+        if math.prod(signs) == 1:
             even_points.append(src)
             even_targets.append(tgt)
         else:

@@ -19,6 +19,11 @@ from .exact import GaussianRational, ScalarLike, _Record, row_reduce
 #: Longest path length accepted by :func:`graded_dimension`.
 MAX_GRADED_LENGTH = 8
 
+#: Largest sum of len(word)^2 over the words of a :class:`CyclicPotential`
+#: (one cycle of 1,000 labels): a word of length n costs n^2 to canonicalise
+#: and differentiate, in time and, when it is aperiodic, in memory.
+MAX_WORD_CELLS = 10 ** 6
+
 
 class Quiver(_Record):
     """A finite quiver with uniquely labelled arrows, each (label, source, target)."""
@@ -251,15 +256,23 @@ class CyclicPotential(_Record):
     """A rational combination of cyclic words, one canonical rotation per cycle.
 
     Coefficients passed for different rotations of the same cycle
-    accumulate onto the shared canonical representative.
+    accumulate onto the shared canonical representative.  Words whose
+    squared lengths sum past ``MAX_WORD_CELLS`` raise ``DomainError``.
     """
 
     __slots__ = ("quiver", "terms")
     __hash__ = None
 
     def __init__(self, quiver: Quiver, terms: Mapping[Word, Union[int, Fraction]] = ()):
+        terms = dict(terms)
+        cells = sum(len(word) ** 2 for word in terms)
+        if cells > MAX_WORD_CELLS:
+            raise DomainError(
+                f"the words have {cells} cells (squared lengths summed), "
+                f"above the configured bound {MAX_WORD_CELLS}"
+            )
         clean: Dict[Word, Fraction] = {}
-        for word, coeff in dict(terms).items():
+        for word, coeff in terms.items():
             word = tuple(word)
             _check_cyclic_word(quiver, word)
             # Fractions are immutable, so a Fraction coefficient is kept as given

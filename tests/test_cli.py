@@ -268,6 +268,38 @@ def test_hilbert_length_cap_exits_3(tmp_path):
     assert main(["hilbert", "-i", src, "--max-length", "12"]) == 3
 
 
+def _long_cycle(length):
+    """One aperiodic cycle of ``length`` labels: a1 b1 repeated, closed by a2 b2."""
+    return [{"cycle": ["a1", "b1"] * (length // 2 - 1) + ["a2", "b2"], "coeff": "1"}]
+
+
+def test_words_past_the_cell_bound_exit_3(tmp_path, capsys):
+    from ncmoduli.quiver import MAX_WORD_CELLS
+
+    assert MAX_WORD_CELLS == 1000 ** 2
+    src = _write(tmp_path, "long.json", _long_cycle(1002))
+    for argv in (
+        ["classify-potential", "-i", src],
+        ["hilbert", "-i", src, "--max-length", "2"],
+        ["dt-count", "--potential", src, "--primes", "2,3,5,7"],
+    ):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "domain error: the words have 1004004 cells (squared lengths summed), "
+            f"above the configured bound {MAX_WORD_CELLS}\n"
+        )
+
+
+def test_words_at_the_cell_bound_are_read(tmp_path, capsys):
+    src = _write(tmp_path, "long.json", _long_cycle(1000))
+    assert main(["classify-potential", "-i", src]) == 3
+    assert "is not quartic" in capsys.readouterr().err
+    assert main(["hilbert", "-i", src, "--max-length", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"dims": [1, 0, 4]}
+
+
 def test_dt_count_needs_four_primes(tmp_path):
     src = _write(tmp_path, "phi.json", CLASSICAL)
     assert main(["dt-count", "--potential", src, "--primes", "5"]) == 3
