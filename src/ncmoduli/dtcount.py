@@ -27,12 +27,13 @@ Primes above ``MAX_COUNT_PRIME`` are refused before any enumeration.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .exact import PrimeFieldElement, _Record, fraction_str, is_prime
+from .exact import PrimeFieldElement, _Poly, _Record, fraction_str, is_prime
 from .quiver import CyclicPotential, _cyclic_derivatives, conifold_quiver, framed_conifold_quiver
 
 ARROW_ORDER = ("a1", "a2", "b1", "b2")
@@ -290,35 +291,6 @@ class CountReport(_Record):
         }
 
 
-def _lagrange_cubic(points: Sequence[Tuple[int, int]]) -> Tuple[Fraction, ...]:
-    """Exact degree-3 interpolation through four (x, y) points, ascending coeffs."""
-    coeffs = [Fraction(0)] * 4
-    for k, (xk, yk) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for m, (xm, _) in enumerate(points):
-            if m == k:
-                continue
-            # multiply basis by (x - xm)
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                nxt[d] += c * (-xm)
-                nxt[d + 1] += c
-            basis = nxt
-            denom *= xk - xm
-        weight = Fraction(yk) / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += weight * c
-    return tuple(coeffs)
-
-
-def _evaluate_cubic(coeffs: Sequence[Fraction], x: int) -> Fraction:
-    total = Fraction(0)
-    for d, c in enumerate(coeffs):
-        total += c * x ** d
-    return total
-
-
 def _degenerate_primes(potential: CyclicPotential, primes: Sequence[int]) -> List[int]:
     """Primes dividing any relation coefficient numerator or denominator.
 
@@ -339,12 +311,14 @@ def counting_report(
 ) -> CountReport:
     """Count at each prime and interpolate a cubic through the clean primes.
 
-    Needs at least four primes; primes where a relation coefficient
-    degenerates are excluded from the fit.  The fit is taken through the
-    first four included primes and validated against every included
-    prime; when validation fails no polynomial is reported.  The Euler
-    characteristic is the fit evaluated at 1, and the report records
-    whether the fit equals the classical q^3 + q^2.
+    Needs at least four primes.  Every prime that divides no relation
+    denominator is counted, and a refusal there (say, a stability outside
+    the framed chamber) is raised; primes where a relation coefficient
+    degenerates are excluded from the fit.  The fit is Lagrange's formula,
+    a one-variable ``_Poly`` through the first four included primes,
+    checked at every included prime; when a check fails no polynomial is
+    reported.  The Euler characteristic is the fit evaluated at 1, and
+    the report records whether the fit equals the classical q^3 + q^2.
     """
     ps = sorted(set(int(p) for p in primes))
     if len(ps) < 4:
@@ -355,25 +329,24 @@ def counting_report(
             raise DomainError(f"{p} is not prime")
 
     excluded = _degenerate_primes(potential, ps)
-    counts: Dict[int, int] = {}
-    for p in ps:
-        try:
-            counts[p] = count_points(potential, theta, p)
-        except DomainError:
-            if p not in excluded:
-                raise
-            # relations undefined mod p: nothing to count
-    included = [p for p in ps if p not in excluded and p in counts]
+    # the relations are undefined mod p exactly when p divides a denominator
+    denominators = {c.denominator for d in _cyclic_derivatives(potential).values() for c in d.values()}
+    counts = {p: count_points(potential, theta, p) for p in ps if all(v % p for v in denominators)}
+    included = [p for p in ps if p not in excluded]
 
     polynomial = None
     euler = None
     matches = None
     if len(included) >= 4:
-        fit = _lagrange_cubic([(p, counts[p]) for p in included[:4]])
-        if all(_evaluate_cubic(fit, p) == counts[p] for p in included):
-            polynomial = fit
-            euler = sum(fit, Fraction(0))
-            matches = fit == (Fraction(0), Fraction(0), Fraction(1), Fraction(1))
+        # Lagrange's formula through the first four included primes
+        (q,) = _Poly.variables(1)
+        nodes = included[:4]
+        fit = sum(counts[p] * math.prod((q - r) / (p - r) for r in nodes if r != p) for p in nodes)
+        if all(fit.at([p]) == counts[p] for p in included):
+            # in one variable the monomial key of q^k is k
+            polynomial = tuple(Fraction(fit.terms.get(k, 0)) for k in range(4))
+            euler = Fraction(fit.at([1]))
+            matches = polynomial == (0, 0, 1, 1)
             note = "cubic fit consistent across included primes"
         else:
             note = "counts are not fit by a single cubic; no polynomial reported"

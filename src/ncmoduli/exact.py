@@ -15,7 +15,10 @@ matrix types used throughout:
   products, power traces, nilpotency decided by them, and a determinant
   that never divides, which the covering proof runs on ``_Poly`` entries.
 * ``BinaryForm``: homogeneous forms in two variables over Q(i), with GCD.
-* ``_Poly``: sparse polynomials over Q(i), for the symbolic proofs.
+  Its long division of descending coefficient lists also runs the Sturm
+  chains of ``potential.reconstruct_spectrum``.
+* ``_Poly``: sparse polynomials over Q(i), for the symbolic proofs and
+  the cubic fit of the point counts.
 * ``_Record``: the read-only base of every class with public fields.
 
 Plain ``int`` and ``Fraction`` values coerce into ``GaussianRational``
@@ -864,7 +867,7 @@ def binary_form_gcd(forms: Iterable[BinaryForm]) -> BinaryForm:
     if min_beta is None:
         return BinaryForm([0])
     coeffs = [GaussianRational(0)] * min_beta + (poly_gcd or [GaussianRational(1)])
-    return BinaryForm(coeffs).normalized()
+    return BinaryForm(coeffs)
 
 
 # -- sparse polynomials -----------------------------------------------
@@ -877,10 +880,12 @@ _EXPONENT_MASK = (1 << _EXPONENT_BITS) - 1
 class _Poly:
     """A sparse polynomial over Q(i): {monomial key: nonzero coefficient}.
 
-    The exponent of variable v sits in bits 8v to 8v + 7 of the key, so
-    multiplying monomials adds keys.  Coefficients are int, ``Fraction``
-    or ``GaussianRational`` values, and such a scalar may stand on either
-    side of + - * and compare equal to a constant polynomial.
+    The symbolic proofs compute with it, and ``dtcount.counting_report``
+    fits its cubic in one variable with it.  The exponent of variable v
+    sits in bits 8v to 8v + 7 of the key, so multiplying monomials adds
+    keys.  Coefficients are int, ``Fraction`` or ``GaussianRational``
+    values, and such a scalar may stand on either side of + - * and
+    compare equal to a constant polynomial.
     """
 
     __slots__ = ("terms",)

@@ -32,13 +32,11 @@ from typing import Dict, List, Sequence, Tuple
 
 from .errors import DomainError, SchemaError
 from .exact import (
-    BinaryForm,
     ExactMatrix,
     GaussianRational,
     _Poly,
     _Record,
     _poly_divmod,
-    binary_form_gcd,
     fraction_str,
 )
 from .quintuple import (
@@ -411,32 +409,37 @@ def _simple_roots(factor: List[GaussianRational]) -> List[complex]:
     return z
 
 
-def _real_root_count(factor: List[GaussianRational]) -> int:
-    """Distinct real roots of a square-free rational polynomial, by Sturm's theorem.
+def _sturm_level(f: List[GaussianRational]) -> Tuple[int, List[GaussianRational]]:
+    """The number of distinct real roots of a rational polynomial f and the
+    monic gcd(f, f'), both from one Sturm chain.
 
-    The Sturm sequence starts with the polynomial and its derivative and
-    continues with negated remainders; the count is the number of sign
-    changes among the leading terms at -infinity minus those at +infinity.
+    The chain starts with f, from descending coefficients, and f', and
+    continues with negated remainders until a remainder is empty, so it
+    ends at gcd(f, f') up to a constant.  Sturm's theorem, which holds for
+    repeated roots too, counts the distinct real roots: the sign changes
+    among the leading terms at -infinity minus those at +infinity.
     """
-    d = len(factor) - 1
-    chain = [factor, [(d - k) * c for k, c in enumerate(factor[:-1])]]
-    while len(chain[-1]) > 1:
-        chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
+    d = len(f) - 1
+    chain = [f, [(d - k) * c for k, c in enumerate(f[:-1])]]
+    while rem := _poly_divmod(chain[-2], chain[-1])[1]:
+        chain.append([-c for c in rem])
     at_plus = [p[0].re > 0 for p in chain]
     at_minus = [s == (len(p) % 2 == 1) for s, p in zip(at_plus, chain)]
     minus, plus = (sum(x != y for x, y in zip(v, v[1:])) for v in (at_minus, at_plus))
-    return minus - plus
+    inv = chain[-1][0].inverse()
+    return minus - plus, [inv * c for c in chain[-1]]
 
 
 def reconstruct_spectrum(n: SymmetricPotentialMatrix):
     """Recover the eigenvalues of N J numerically from its power traces.
 
     Newton's identities turn the four traces into the characteristic
-    polynomial f, an exact binary form.  Its square-free levels are the
-    quotients f_(k-1) / f_k, where f_0 = f and f_k = gcd(f_(k-1), f_(k-1)');
-    the k-th level holds every root of multiplicity at least k once, so
-    a repeated root is found once per level, and exactly when the level
-    is linear.  Sturm's theorem counts each level's real roots exactly,
+    polynomial f, with exact rational coefficients.  Its square-free
+    levels are the quotients f_(k-1) / f_k, where f_0 = f and
+    f_k = gcd(f_(k-1), f_(k-1)'); the k-th level holds every root of
+    multiplicity at least k once, so a repeated root is found once per
+    level, and exactly when the level is linear.  One Sturm chain on
+    f_(k-1) gives both f_k and the level's number of distinct real roots,
     and that many of its roots, the ones nearest the real axis, come back
     with imaginary part exactly 0.  The roots are returned sorted by real
     then imaginary part.  The power sums of the computed roots are
@@ -445,15 +448,12 @@ def reconstruct_spectrum(n: SymmetricPotentialMatrix):
     """
     power_sums = invariants_potential(n).as_tuple()
     e1, e2, e3, e4 = _newton(power_sums, 4)[0]
-    level = BinaryForm([1, -e1, e2, -e3, e4])
+    level = [GaussianRational(c) for c in (1, -e1, e2, -e3, e4)]
     roots: List[complex] = []
-    while level.degree:
-        d = level.degree
-        derivative = BinaryForm([(d - k) * c for k, c in enumerate(level.coeffs[:-1])])
-        deeper = binary_form_gcd([level, derivative])
-        factor = _poly_divmod(level.coeffs, deeper.coeffs)[0]
+    while len(level) > 1:
+        real, deeper = _sturm_level(level)
+        factor = _poly_divmod(level, deeper)[0]
         found = sorted(_simple_roots(factor), key=lambda z: abs(z.imag))
-        real = _real_root_count(factor)
         roots += [complex(z.real, 0.0) for z in found[:real]] + found[real:]
         level = deeper
     roots.sort(key=lambda z: (z.real, z.imag))

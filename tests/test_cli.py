@@ -317,6 +317,16 @@ def test_dt_count_classical_report(tmp_path, capsys):
     assert doc["matches_classical"] is True
 
 
+def test_dt_count_outside_the_chamber_exits_3_at_degenerate_primes(tmp_path, capsys):
+    scaled = [{"cycle": term["cycle"], "coeff": str(210 * int(term["coeff"]))} for term in CLASSICAL]
+    for doc in (CLASSICAL, scaled):
+        src = _write(tmp_path, "phi.json", doc)
+        assert main(["dt-count", "--potential", src, "--theta=-2,1,1", "--primes", "2,3,5,7"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "outside the framed chamber" in captured.err
+
+
 def test_elliptic_check(tmp_path, capsys):
     cfg = {"lambda": "-3", "p1": ["-1", "1", "2"], "p2": ["1", "-1", "-2"]}
     src = _write(tmp_path, "cfg.json", cfg)

@@ -171,6 +171,17 @@ def test_report_excludes_degenerate_primes():
     assert "fewer than four usable primes" in report.note
 
 
+def test_report_refuses_a_stability_outside_the_chamber_at_degenerate_primes():
+    # 2, 3, 5 and 7 all divide the numerator 210, so none joins the fit;
+    # each is still counted, and the stability is refused there as it is
+    # for the unscaled potential
+    scaled = CyclicPotential(conifold_quiver(), {w: 210 * c for w, c in conifold_potential().terms.items()})
+    theta = StabilityParameter.from_values((-2, 1, 1))
+    for potential in (conifold_potential(), scaled):
+        with pytest.raises(DomainError, match="outside the framed chamber"):
+            counting_report(potential, theta, (2, 3, 5, 7))
+
+
 def test_degenerate_primes_match_the_jacobi_generators():
     primes = (2, 3, 5, 7, 11, 13)
     for potential in _reference_potentials():

@@ -418,12 +418,15 @@ def test_reconstruct_spectrum_splits_repeated_roots_exactly():
 
 def test_reconstruct_spectrum_real_roots_are_exactly_real():
     """As many roots with imaginary part exactly 0 as the characteristic
-    polynomial of N J has real roots, counted with multiplicity by sympy."""
+    polynomial of N J has real roots, counted with multiplicity by sympy.
+    For diag(1, 1, -1, -1) it is (x^2 + 1)^2, a level that is not
+    square-free and has no real root."""
     sympy = pytest.importorskip("sympy")
     j = sympy.Matrix([[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]])
     roots = reconstruct_spectrum(SymmetricPotentialMatrix.diagonal([1, 2, 3, 5]))
     assert [z.imag for z in roots] == [0.0] * 4
-    for n in _reference_matrices(Random(55)):
+    no_real_root = SymmetricPotentialMatrix.diagonal([1, 1, -1, -1])
+    for n in [no_real_root, *_reference_matrices(Random(55))]:
         if n.is_zero():
             continue
         nj = sympy.Matrix(4, 4, lambda r, c: sympy.Rational(n[r, c])) * j
