@@ -13,9 +13,10 @@ free (p - 1)-action out of the (a, b) scalars; divisibility is asserted
 rather than assumed.
 
 Stability depends only on which of the five scalars vanish, so each
-StabilityParameter holds one verdict per zero pattern (32 of them), and
-both ``is_theta_stable`` and the framed-chamber check of ``count_points``
-read that table.  The relations come from the cyclic-derivative table
+StabilityParameter holds one verdict per zero pattern (32 of them).
+``is_theta_stable`` reads that table, and so does the parameter's own
+framed-chamber check, which ``count_points`` and ``counting_report`` run
+before any count.  The relations come from the cyclic-derivative table
 of ``quiver`` that ``jacobi_generators`` reads too: once per count, each
 path becomes the monomial of its arrow counts, giving commuting
 polynomials mod p.  The count walks the (a1, a2) slices: a slice on
@@ -83,6 +84,17 @@ class StabilityParameter(_Record):
 
     def to_json(self):
         return [fraction_str(v) for v in self.as_tuple()]
+
+    def _require_framed_chamber(self) -> None:
+        """Raise DomainError unless stability forces i != 0 and (a1, a2) != (0, 0).
+
+        The count fixes the gauge i = 1 and needs a nonzero a-scalar.
+        Stability only depends on the zero pattern, so the table settles
+        this for the whole parameter.
+        """
+        a_bits, i_bit = _BIT["a1"] | _BIT["a2"], _BIT["i"]
+        if any(s and not (mask & i_bit and mask & a_bits) for mask, s in enumerate(self._stable_patterns)):
+            raise DomainError("stability parameter is outside the framed chamber")
 
 
 def default_stability() -> StabilityParameter:
@@ -203,16 +215,11 @@ def count_points(potential: CyclicPotential, theta: StabilityParameter, p: int) 
     """
     if potential.quiver != conifold_quiver():
         raise DomainError("counting is defined for conifold potentials")
+    theta._require_framed_chamber()
     _check_count_bound(p)
     relations = _commuting_relations(potential, p)
-
-    # The gauge below assumes stability forces i != 0 and (a1, a2) != (0, 0).
-    # Stability only depends on the zero pattern, so the table settles that
-    # assumption completely for this theta.
     a1_bit, a2_bit, b1_bit, b2_bit, i_bit = (_BIT[x] for x in ARROW_ORDER + ("i",))
     stable = theta._stable_patterns
-    if any(s and not (mask & i_bit and mask & (a1_bit | a2_bit)) for mask, s in enumerate(stable)):
-        raise DomainError("stability parameter is outside the framed chamber")
 
     # the coefficient of each (b1, b2) monomial of each relation, as terms
     # (a1 exponent, a2 exponent, coeff): every relation vanishes on an
@@ -291,15 +298,14 @@ class CountReport(_Record):
         }
 
 
-def _degenerate_primes(potential: CyclicPotential, primes: Sequence[int]) -> List[int]:
-    """Primes dividing any relation coefficient numerator or denominator.
+def _degenerate_primes(table: Dict[str, Dict[Tuple[str, ...], Fraction]], primes: Sequence[int]) -> List[int]:
+    """Primes dividing any numerator or denominator of a cyclic-derivative table.
 
     In those characteristics the relation scheme changes shape, so the
     counts are excluded from polynomial interpolation (they are still
     computed and reported when the denominators survive).
     """
     # a prime divides the numerator or the denominator when it divides their product
-    table = _cyclic_derivatives(potential)
     products = {c.numerator * c.denominator for derivative in table.values() for c in derivative.values()}
     return sorted({p for p in primes for v in products if v % p == 0})
 
@@ -311,15 +317,16 @@ def counting_report(
 ) -> CountReport:
     """Count at each prime and interpolate a cubic through the clean primes.
 
-    Needs at least four primes.  Every prime that divides no relation
-    denominator is counted, and a refusal there (say, a stability outside
-    the framed chamber) is raised; primes where a relation coefficient
-    degenerates are excluded from the fit.  The fit is Lagrange's formula,
-    a one-variable ``_Poly`` through the first four included primes,
-    checked at every included prime; when a check fails no polynomial is
-    reported.  The Euler characteristic is the fit evaluated at 1, and
+    Needs at least four primes and a stability inside the framed chamber,
+    both checked before any count.  Every prime that divides no relation
+    denominator is counted, and a refusal there is raised; primes where a
+    relation coefficient degenerates are excluded from the fit.  The fit
+    is Lagrange's formula, a one-variable ``_Poly`` through the first four
+    included primes, checked at every included prime; when a check fails
+    no polynomial is reported.  The Euler characteristic is the fit evaluated at 1, and
     the report records whether the fit equals the classical q^3 + q^2.
     """
+    theta._require_framed_chamber()
     ps = sorted(set(int(p) for p in primes))
     if len(ps) < 4:
         raise DomainError("need at least four primes for a degree-3 fit")
@@ -328,9 +335,10 @@ def counting_report(
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
 
-    excluded = _degenerate_primes(potential, ps)
+    table = _cyclic_derivatives(potential)
+    excluded = _degenerate_primes(table, ps)
     # the relations are undefined mod p exactly when p divides a denominator
-    denominators = {c.denominator for d in _cyclic_derivatives(potential).values() for c in d.values()}
+    denominators = {c.denominator for d in table.values() for c in d.values()}
     counts = {p: count_points(potential, theta, p) for p in ps if all(v % p for v in denominators)}
     included = [p for p in ps if p not in excluded]
 

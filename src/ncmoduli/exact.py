@@ -7,7 +7,8 @@ matrix types used throughout:
 * ``GaussianRational``: elements (a + b*i)/d of Q(i), stored as a
   canonical triple of ints (d > 0, gcd(a, b, d) = 1), with one gcd per
   operation and none when a denominator is 1.
-* ``PrimeFieldElement``: elements of F_p for a prime p.
+* ``PrimeFieldElement``: the scalars of a framed representation over
+  F_p, for a prime p, with no arithmetic of their own.
 * ``row_reduce``: the one elimination routine, Gaussian elimination on
   sparse rows over Q(i).  It gives ``ExactMatrix.rank`` and the ranks
   behind ``quiver.graded_dimension``.
@@ -16,13 +17,14 @@ matrix types used throughout:
   that never divides, which the covering proof runs on ``_Poly`` entries.
 * ``BinaryForm``: homogeneous forms in two variables over Q(i), with GCD.
   Its long division of descending coefficient lists also runs the Sturm
-  chains of ``potential.reconstruct_spectrum``.
+  chains and the square-free factors of ``potential.reconstruct_spectrum``.
 * ``_Poly``: sparse polynomials over Q(i), for the symbolic proofs and
   the cubic fit of the point counts.
 * ``_Record``: the read-only base of every class with public fields.
 
 Plain ``int`` and ``Fraction`` values coerce into ``GaussianRational``
-wherever a scalar is expected, which keeps call sites readable.
+wherever a scalar is expected, which keeps call sites readable.  No value
+here converts to a float.
 """
 
 from __future__ import annotations
@@ -219,9 +221,6 @@ class GaussianRational:
             raise ValueError(f"{self!r} has a nonzero imaginary part")
         return Fraction(self._a, self._d)
 
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
     def __repr__(self):
         re, im = self.re, self.im
         if im == 0:
@@ -412,10 +411,12 @@ def rational_from_json(doc) -> Fraction:
 # -- prime fields -----------------------------------------------------
 
 class PrimeFieldElement(_Record):
-    """An element of F_p; the modulus must be prime so inversion is total.
+    """A scalar of F_p, for a prime p: ``value`` reduced mod p, and ``p``.
 
-    It equals the ints congruent to it, so it keeps its own equality and
-    hash; the record base makes its fields read-only.
+    It carries no arithmetic: the point counts work on ints, and
+    ``dtcount.FramedRep`` reads ``value``.  It equals the ints congruent
+    to it, so it keeps its own equality and hash; the record base makes
+    its fields read-only.
     """
 
     __slots__ = ("value", "p")
@@ -424,71 +425,6 @@ class PrimeFieldElement(_Record):
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self._assign(value % p, p)
-
-    def _other(self, other):
-        if isinstance(other, PrimeFieldElement):
-            if other.p != self.p:
-                raise ValueError(f"mixed moduli {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return PrimeFieldElement(other, self.p)
-        return None
-
-    def __add__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElement(self.value + o.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElement(self.value - o.value, self.p)
-
-    def __rsub__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __mul__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return PrimeFieldElement(self.value * o.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PrimeFieldElement(-self.value, self.p)
-
-    def inverse(self) -> "PrimeFieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError(f"inverse of zero in F_{self.p}")
-        # Fermat: v^(p-2) is the inverse for prime p.
-        return PrimeFieldElement(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __truediv__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._other(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return PrimeFieldElement(pow(self.value, exponent, self.p), self.p)
 
     def __eq__(self, other):
         if isinstance(other, PrimeFieldElement):

@@ -24,7 +24,6 @@ slower than building it here.
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from itertools import product
@@ -359,59 +358,12 @@ def fiber_experiment(spectrum: Sequence[Fraction]) -> FiberReport:
     )
 
 
-# -- numeric spectrum recovery ----------------------------------------
-
-
-#: Largest relative residual :func:`reconstruct_spectrum` accepts.
-SPECTRUM_RESIDUAL_BOUND = 1e-8
-
-#: Durand-Kerner sweeps allowed per square-free factor.
-_ROOT_SWEEPS = 100
-
-
-def _simple_roots(factor: List[GaussianRational]) -> List[complex]:
-    """The roots of a monic square-free polynomial, from descending coefficients.
-
-    A linear factor gives its root exactly.  A longer one runs Durand-Kerner
-    sweeps from points on a circle of Fujiwara's radius, which encloses
-    every root.  Sweeps evaluate in floats until the corrections settle,
-    or until half of ``_ROOT_SWEEPS`` are spent, and then evaluate the
-    exact factor at each float iterate: near a cluster of close roots a
-    float evaluation is only rounding noise.
-    """
-    if len(factor) == 2:
-        return [complex(-factor[1])]
-    c = [complex(v) for v in factor]
-    d = len(c) - 1
-    radius = 2 * max(abs(v) ** (1 / k) for k, v in enumerate(c[1:], start=1))
-    z = [radius * cmath.exp(1j * (2 * cmath.pi * k + 1) / d) for k in range(d)]
-    exact = False
-    for sweep in range(_ROOT_SWEEPS):
-        moved = 0.0
-        for k in range(d):
-            if exact:
-                x, coeffs = GaussianRational(Fraction(z[k].real), Fraction(z[k].imag)), factor
-            else:
-                x, coeffs = z[k], c
-            value = coeffs[0]
-            for v in coeffs[1:]:
-                value = value * x + v
-            value = complex(value)
-            for j in range(d):
-                if j != k:
-                    value /= z[k] - z[j]
-            z[k] -= value
-            moved = max(moved, abs(value))
-        if moved <= 1e-16 * radius or sweep == _ROOT_SWEEPS // 2:
-            if exact:
-                break
-            exact = True
-    return z
+# -- exact spectrum ---------------------------------------------------
 
 
 def _sturm_level(f: List[GaussianRational]) -> Tuple[int, List[GaussianRational]]:
-    """The number of distinct real roots of a rational polynomial f and the
-    monic gcd(f, f'), both from one Sturm chain.
+    """The number of distinct real roots of a rational polynomial f and
+    gcd(f, f') up to a constant, both from one Sturm chain.
 
     The chain starts with f, from descending coefficients, and f', and
     continues with negated remainders until a remainder is empty, so it
@@ -426,42 +378,30 @@ def _sturm_level(f: List[GaussianRational]) -> Tuple[int, List[GaussianRational]
     at_plus = [p[0].re > 0 for p in chain]
     at_minus = [s == (len(p) % 2 == 1) for s, p in zip(at_plus, chain)]
     minus, plus = (sum(x != y for x, y in zip(v, v[1:])) for v in (at_minus, at_plus))
-    inv = chain[-1][0].inverse()
-    return minus - plus, [inv * c for c in chain[-1]]
+    return minus - plus, chain[-1]
 
 
-def reconstruct_spectrum(n: SymmetricPotentialMatrix):
-    """Recover the eigenvalues of N J numerically from its power traces.
+def reconstruct_spectrum(n: SymmetricPotentialMatrix) -> List[Tuple[int, Tuple[Fraction, ...], int]]:
+    """The square-free factorization f = g_1 g_2^2 g_3^3 g_4^4 of the
+    characteristic polynomial f of N J, from its power traces.
 
-    Newton's identities turn the four traces into the characteristic
-    polynomial f, with exact rational coefficients.  Its square-free
-    levels are the quotients f_(k-1) / f_k, where f_0 = f and
-    f_k = gcd(f_(k-1), f_(k-1)'); the k-th level holds every root of
-    multiplicity at least k once, so a repeated root is found once per
-    level, and exactly when the level is linear.  One Sturm chain on
-    f_(k-1) gives both f_k and the level's number of distinct real roots,
-    and that many of its roots, the ones nearest the real axis, come back
-    with imaginary part exactly 0.  The roots are returned sorted by real
-    then imaginary part.  The power sums of the computed roots are
-    checked against the exact traces; a relative residual above
-    ``SPECTRUM_RESIDUAL_BOUND`` raises DomainError.
+    With f_0 = f and f_k = gcd(f_(k-1), f_(k-1)'), the quotient
+    q_k = f_(k-1) / f_k holds each root of multiplicity at least k once,
+    and g_k = q_k / q_(k+1).  The Sturm chain of f_(k-1) gives f_k and
+    the real roots of q_k, among which are those of q_(k+1).  Returns
+    (k, coefficients, real_roots) for each nonconstant g_k, in increasing
+    k: g_k monic, as descending Fractions, and its real-root count.
     """
-    power_sums = invariants_potential(n).as_tuple()
-    e1, e2, e3, e4 = _newton(power_sums, 4)[0]
+    e1, e2, e3, e4 = _newton(invariants_potential(n).as_tuple(), 4)[0]
     level = [GaussianRational(c) for c in (1, -e1, e2, -e3, e4)]
-    roots: List[complex] = []
+    quotients = []
     while len(level) > 1:
         real, deeper = _sturm_level(level)
-        factor = _poly_divmod(level, deeper)[0]
-        found = sorted(_simple_roots(factor), key=lambda z: abs(z.imag))
-        roots += [complex(z.real, 0.0) for z in found[:real]] + found[real:]
+        quotients.append((_poly_divmod(level, deeper)[0], real))
         level = deeper
-    roots.sort(key=lambda z: (z.real, z.imag))
-    worst = 0.0
-    for d, target in enumerate(power_sums, start=1):
-        power_sum = sum(z ** d for z in roots)
-        err = abs(power_sum - float(target)) / max(1.0, abs(float(target)))
-        worst = max(worst, err)
-    if worst > SPECTRUM_RESIDUAL_BOUND:
-        raise DomainError(f"spectrum residual {worst:.3e} exceeds {SPECTRUM_RESIDUAL_BOUND:.1e}")
-    return roots
+    spectrum = []
+    for k, ((q, real), (q_next, real_next)) in enumerate(zip(quotients, quotients[1:] + [(level, 0)]), start=1):
+        g = _poly_divmod(q, q_next)[0]
+        if len(g) > 1:
+            spectrum.append((k, tuple((c / g[0]).as_fraction() for c in g), real - real_next))
+    return spectrum

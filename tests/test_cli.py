@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -318,8 +319,12 @@ def test_dt_count_classical_report(tmp_path, capsys):
 
 
 def test_dt_count_outside_the_chamber_exits_3_at_degenerate_primes(tmp_path, capsys):
-    scaled = [{"cycle": term["cycle"], "coeff": str(210 * int(term["coeff"]))} for term in CLASSICAL]
-    for doc in (CLASSICAL, scaled):
+    # over 210, every prime divides a relation denominator and none is counted
+    scaled = [
+        [{"cycle": term["cycle"], "coeff": str(scale * int(term["coeff"]))} for term in CLASSICAL]
+        for scale in (210, Fraction(1, 210))
+    ]
+    for doc in (CLASSICAL, *scaled):
         src = _write(tmp_path, "phi.json", doc)
         assert main(["dt-count", "--potential", src, "--theta=-2,1,1", "--primes", "2,3,5,7"]) == 3
         captured = capsys.readouterr()

@@ -27,6 +27,7 @@ from ncmoduli.quiver import (
     conifold_quiver,
     jacobi_generators,
 )
+from ncmoduli.quiver import _cyclic_derivatives
 
 
 def _diagonal_potential(*values):
@@ -172,12 +173,13 @@ def test_report_excludes_degenerate_primes():
 
 
 def test_report_refuses_a_stability_outside_the_chamber_at_degenerate_primes():
-    # 2, 3, 5 and 7 all divide the numerator 210, so none joins the fit;
-    # each is still counted, and the stability is refused there as it is
-    # for the unscaled potential
-    scaled = CyclicPotential(conifold_quiver(), {w: 210 * c for w, c in conifold_potential().terms.items()})
+    # 2, 3, 5 and 7 all divide 210, so none joins the fit.  Times 210 each
+    # is still counted; over 210 none is, since each divides a denominator.
+    # The stability is refused either way, as it is for the unscaled potential.
+    terms = conifold_potential().terms
     theta = StabilityParameter.from_values((-2, 1, 1))
-    for potential in (conifold_potential(), scaled):
+    for scale in (1, 210, Fraction(1, 210)):
+        potential = CyclicPotential(conifold_quiver(), {w: scale * c for w, c in terms.items()})
         with pytest.raises(DomainError, match="outside the framed chamber"):
             counting_report(potential, theta, (2, 3, 5, 7))
 
@@ -187,7 +189,7 @@ def test_degenerate_primes_match_the_jacobi_generators():
     for potential in _reference_potentials():
         coeffs = [c.as_fraction() for gen in jacobi_generators(potential) for _, c in gen.items()]
         want = sorted({p for c in coeffs for p in primes if c.numerator % p == 0 or c.denominator % p == 0})
-        assert _degenerate_primes(potential, primes) == want
+        assert _degenerate_primes(_cyclic_derivatives(potential), primes) == want
 
 
 def test_report_unit_deformation_is_not_polynomial():

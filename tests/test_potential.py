@@ -13,9 +13,7 @@ from ncmoduli import potential
 from ncmoduli.errors import DomainError
 from ncmoduli.exact import GaussianRational
 from ncmoduli.potential import (
-    SPECTRUM_RESIDUAL_BOUND,
     SymmetricPotentialMatrix,
-    _newton,
     _trace_nj,
     classify_stability_potential,
     covering_image_invariants,
@@ -313,33 +311,58 @@ def test_fiber_experiment_validates_input():
         fiber_experiment([Fraction(0), Fraction(2), Fraction(3), Fraction(4)])
 
 
+def _expand(spectrum):
+    """The product of the g_k^k of a spectrum, as descending coefficients."""
+    f = [Fraction(1)]
+    for k, g, _ in spectrum:
+        for _ in range(k):
+            h = [Fraction(0)] * (len(f) + len(g) - 1)
+            for i, a in enumerate(f):
+                for j, b in enumerate(g):
+                    h[i + j] += a * b
+            f = h
+    return f
+
+
+def _root_power_sums(f, top):
+    """p_1..p_top of the roots of a monic f, by Newton's identities from its
+    coefficients: p_k = (-1)^(k-1) k e_k + sum_{i<k} (-1)^(i-1) e_i p_(k-i)."""
+    e = [(-1) ** i * c for i, c in enumerate(f)] + [0] * top
+    p = []
+    for k in range(1, top + 1):
+        p.append((-1) ** (k - 1) * k * e[k] + sum((-1) ** (i - 1) * e[i] * p[k - i - 1] for i in range(1, k)))
+    return p
+
+
 def test_reconstruct_spectrum_base_potential():
+    # N = J / 2, so N J = I / 2: one linear factor, of multiplicity four
     n = potential_to_sym_matrix(conifold_potential())
-    roots = reconstruct_spectrum(n)
-    assert len(roots) == 4
-    # a fourfold root is conditioned like eps**(1/4); the residual check
-    # inside reconstruct_spectrum is the sharp guarantee, not the roots
-    assert all(abs(z - 0.5) < 1e-3 for z in roots)
+    spectrum = reconstruct_spectrum(n)
+    assert spectrum == [(4, (1, Fraction(-1, 2)), 1)]
+    assert all(type(c) is Fraction for c in spectrum[0][1])
 
 
 def test_reconstruct_spectrum_random_consistency():
+    """Monic factors whose product has the power traces of N J, by Newton's identities."""
     rng = Random(54)
     for _ in range(10):
         n = _random_symmetric(rng, span=3, maxden=2)
         while n.is_zero():
             n = _random_symmetric(rng, span=3, maxden=2)
-        roots = reconstruct_spectrum(n)
-        inv = invariants_potential(n)
-        for d, target in enumerate(inv.as_tuple(), start=1):
-            power_sum = sum(z ** d for z in roots)
-            assert abs(power_sum - float(target)) <= 1e-7 * max(1.0, abs(float(target)))
+        spectrum = reconstruct_spectrum(n)
+        assert [k for k, _, _ in spectrum] == sorted({k for k, _, _ in spectrum})
+        assert all(g[0] == 1 and 0 <= real <= len(g) - 1 for _, g, real in spectrum)
+        assert sum(k * (len(g) - 1) for k, g, _ in spectrum) == 4
+        assert _root_power_sums(_expand(spectrum), 4) == list(invariants_potential(n).as_tuple())
 
 
-def _power_sum_residual(roots, power_sums):
-    return max(
-        abs(sum(z ** d for z in roots) - float(t)) / max(1.0, abs(float(t)))
-        for d, t in enumerate(power_sums, start=1)
-    )
+def _factor_residual(g, z):
+    """|g(z)| in floats, relative to the larger of 1 and the sum of |c_i z^i|."""
+    value = scale = 0.0
+    for c in g:
+        value = value * z + float(c)
+        scale = scale * abs(z) + abs(float(c))
+    return abs(value) / max(1.0, scale)
 
 
 def _reference_matrices(rng):
@@ -377,61 +400,63 @@ def _reference_matrices(rng):
 
 
 def test_reconstruct_spectrum_matches_numpy_reference():
-    """No refusal where numpy's companion-matrix roots pass the same check,
-    and a worst relative power-sum residual of at most 1e-10."""
+    """Each of numpy's eigenvalues of N J goes to the factor g_k it nearly
+    annuls; g_k gets k deg(g_k) of them, and every relative residual is at
+    most 1e-6.  The near-base matrices put four roots in a cluster, where
+    numpy's eigenvalues are least accurate; the worst residual is 6.6e-8."""
     np = pytest.importorskip("numpy")
 
-    refused, worst, count = [], 0.0, 0
+    j = np.array([[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float)
+    count = 0
     for n in _reference_matrices(Random(55)):
         if n.is_zero():
             continue
         count += 1
-        power_sums = invariants_potential(n).as_tuple()
-        try:
-            worst = max(worst, _power_sum_residual(reconstruct_spectrum(n), power_sums))
-        except DomainError:
-            e1, e2, e3, e4 = (float(e) for e in _newton(power_sums, 4)[0])
-            reference = list(np.roots([1.0, -e1, e2, -e3, e4]))
-            if _power_sum_residual(reference, power_sums) <= SPECTRUM_RESIDUAL_BOUND:
-                refused.append(n)
+        spectrum = reconstruct_spectrum(n)
+        assert sum(k * (len(g) - 1) for k, g, _ in spectrum) == 4
+        nj = np.array([[float(v) for v in row] for row in n.n]) @ j
+        found = {k: 0 for k, _, _ in spectrum}
+        for z in np.linalg.eigvals(nj):
+            residual, k = min((_factor_residual(g, z), k) for k, g, _ in spectrum)
+            assert residual <= 1e-6, (n, z)
+            found[k] += 1
+        assert found == {k: k * (len(g) - 1) for k, g, _ in spectrum}, n
     assert count >= 990
-    assert refused == []
-    assert worst <= 1e-10
 
 
 def test_reconstruct_spectrum_splits_repeated_roots_exactly():
     base = potential_to_sym_matrix(conifold_potential())
-    assert reconstruct_spectrum(base) == [0.5, 0.5, 0.5, 0.5]
+    assert reconstruct_spectrum(base) == [(4, (1, Fraction(-1, 2)), 1)]
     square = SymmetricPotentialMatrix.diagonal([Fraction(3, 7), 0, 0, 0])
     assert sym_matrix_to_potential(square).terms == {("a1", "b1", "a1", "b1"): Fraction(3, 7)}
-    assert reconstruct_spectrum(square) == [0, 0, 0, 0]
-    # spectrum {1/2, 1/2, -2, 3}: the second level is x - 1/2, and the
-    # exact sweeps on the first level land on 1/2 as well
+    assert reconstruct_spectrum(square) == [(4, (1, 0), 1)]
+    # spectrum {1/2, 1/2, -2, 3}: (x^2 - x - 6) (x - 1/2)^2
     half = Fraction(1, 2)
     n = SymmetricPotentialMatrix(
         [[0, 0, 0, half], [0, 5 * half, -half, 0], [0, -half, 5 * half, 0], [half, 0, 0, 0]]
     )
-    roots = reconstruct_spectrum(n)
-    assert roots[1:3] == [0.5, 0.5]
-    assert abs(roots[0] + 2) < 1e-12 and abs(roots[3] - 3) < 1e-12
+    assert reconstruct_spectrum(n) == [(1, (1, -1, -6), 2), (2, (1, -half), 1)]
 
 
 def test_reconstruct_spectrum_real_roots_are_exactly_real():
-    """As many roots with imaginary part exactly 0 as the characteristic
-    polynomial of N J has real roots, counted with multiplicity by sympy.
-    For diag(1, 1, -1, -1) it is (x^2 + 1)^2, a level that is not
-    square-free and has no real root."""
+    """The product of the g_k^k is sympy's characteristic polynomial of N J,
+    and the sum of k times the real-root counts is its number of real roots
+    with multiplicity, as sympy counts them.  For diag(1, 1, -1, -1) it is
+    (x^2 + 1)^2, a level that is not square-free and has no real root."""
     sympy = pytest.importorskip("sympy")
     j = sympy.Matrix([[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]])
-    roots = reconstruct_spectrum(SymmetricPotentialMatrix.diagonal([1, 2, 3, 5]))
-    assert [z.imag for z in roots] == [0.0] * 4
+    assert reconstruct_spectrum(SymmetricPotentialMatrix.diagonal([1, 2, 3, 5])) == [(1, (1, 0, -11, 0, 30), 4)]
     no_real_root = SymmetricPotentialMatrix.diagonal([1, 1, -1, -1])
+    assert reconstruct_spectrum(no_real_root) == [(2, (1, 0, 1), 0)]
     for n in [no_real_root, *_reference_matrices(Random(55))]:
         if n.is_zero():
             continue
         nj = sympy.Matrix(4, 4, lambda r, c: sympy.Rational(n[r, c])) * j
-        real = sympy.real_roots(nj.charpoly())
-        assert sum(z.imag == 0.0 for z in reconstruct_spectrum(n)) == len(real), n
+        charpoly = nj.charpoly()
+        spectrum = reconstruct_spectrum(n)
+        assert _expand(spectrum) == [Fraction(int(c.p), int(c.q)) for c in charpoly.all_coeffs()], n
+        real = sympy.real_roots(charpoly)
+        assert sum(k * real_roots for k, _, real_roots in spectrum) == len(real), n
 
 
 def test_import_does_not_load_numpy():

@@ -175,6 +175,10 @@ def test_invariants_scale_with_tensor_weight():
         assert b.f6 == c ** 6 * a.f6
 
 
+def _complex(z):
+    return complex(float(z.re), float(z.im))
+
+
 def test_invariants_float_consistency_via_orthogonal_change():
     """The printed pairing diagonalizes to the identity after a column
     rescale by eighth roots of unity; in that frame the invariants are
@@ -201,14 +205,14 @@ def test_invariants_float_consistency_via_orthogonal_change():
         q = _random_tensor(rng)
         if q.is_zero():
             continue
-        m = np.array([[complex(q.flatten()[r, c]) for c in range(4)] for r in range(4)])
+        m = np.array([[_complex(q.flatten()[r, c]) for c in range(4)] for r in range(4)])
         inv = invariants(q)
         c = tc_inv @ m @ tc_inv.T
         gram = c.T @ c
         for d, exact in ((1, inv.f2), (2, inv.f4), (3, inv.f6)):
             approx = np.trace(np.linalg.matrix_power(gram, d))
-            assert abs(approx - complex(exact)) <= 1e-9 * max(1.0, abs(complex(exact)))
-        assert abs(np.linalg.det(m) - complex(inv.g4)) <= 1e-9 * max(1.0, abs(complex(inv.g4)))
+            assert abs(approx - _complex(exact)) <= 1e-9 * max(1.0, abs(_complex(exact)))
+        assert abs(np.linalg.det(m) - _complex(inv.g4)) <= 1e-9 * max(1.0, abs(_complex(inv.g4)))
 
 
 def test_weighted_point_equality_rules():

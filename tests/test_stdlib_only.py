@@ -72,7 +72,7 @@ def test_runs_with_numpy_blocked(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     spectrum, document = result.stdout.split("\n", 1)
-    assert spectrum == "[(0.5+0j), (0.5+0j), (0.5+0j), (0.5+0j)]"
+    assert spectrum == "[(4, (Fraction(1, 1), Fraction(-1, 2)), 1)]"
     assert '"covering_identities_ok": true' in document
 
 
