@@ -22,8 +22,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("DomainError", "SchemaError"),
     "exact": (
-        "BinaryForm", "ExactMatrix", "GaussianRational", "PrimeFieldElement",
-        "binary_form_gcd", "scalar_from_json", "scalar_to_json",
+        "ExactMatrix", "GaussianRational", "PrimeFieldElement", "binary_form_gcd",
+        "scalar_from_json", "scalar_to_json",
     ),
     "quiver": (
         "AlgebraElement", "CyclicPotential", "Path", "Quiver", "conifold_potential",

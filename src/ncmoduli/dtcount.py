@@ -17,7 +17,7 @@ StabilityParameter holds one verdict per zero pattern (32 of them).
 ``is_theta_stable`` reads that table, and so does the parameter's own
 framed-chamber check, which ``count_points`` and ``counting_report`` run
 before any count.  The relations come from the cyclic-derivative table
-of ``quiver`` that ``jacobi_generators`` reads too: once per count, each
+of ``quiver`` that ``jacobi_generators`` reads too: once per call, each
 path becomes the monomial of its arrow counts, giving commuting
 polynomials mod p.  The count walks the (a1, a2) slices: a slice on
 which every relation vanishes adds its stable points in closed form,
@@ -31,13 +31,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
+from operator import index
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .exact import PrimeFieldElement, _Poly, _Record, fraction_str, is_prime
+from .exact import PrimeFieldElement, _Poly, _Record, _rational, fraction_str, is_prime
 from .quiver import CyclicPotential, _cyclic_derivatives, conifold_quiver, framed_conifold_quiver
 
 ARROW_ORDER = ("a1", "a2", "b1", "b2")
+
+#: A cyclic-derivative table of ``quiver``: arrow -> {path: coefficient}.
+_Table = Dict[str, Dict[Tuple[str, ...], Fraction]]
 
 #: Largest prime accepted by :func:`count_points` and :func:`counting_report`.
 MAX_COUNT_PRIME = 31
@@ -70,11 +74,12 @@ class StabilityParameter(_Record):
     __slots__ = ("theta0", "theta1", "theta_inf", "_stable_patterns")
 
     def __init__(self, theta0: Fraction, theta1: Fraction, theta_inf: Fraction):
-        self._assign(theta0, theta1, theta_inf, _stability_table((theta0, theta1, theta_inf)))
+        theta = tuple(map(_rational, (theta0, theta1, theta_inf)))
+        self._assign(*theta, _stability_table(theta))
 
     @classmethod
     def from_values(cls, values: Sequence) -> "StabilityParameter":
-        vals = [Fraction(v) for v in values]
+        vals = list(values)
         if len(vals) != 3:
             raise DomainError("stability needs three weights")
         return cls(*vals)
@@ -109,7 +114,14 @@ def _check_count_bound(p: int) -> None:
         )
 
 
-def _commuting_relations(potential: CyclicPotential, p: int) -> List[Dict[Tuple[int, ...], int]]:
+def _conifold_table(potential: CyclicPotential) -> _Table:
+    """The cyclic-derivative table of a conifold potential, which the relations read."""
+    if potential.quiver != conifold_quiver():
+        raise DomainError("relations are defined for conifold potentials")
+    return _cyclic_derivatives(potential)
+
+
+def _commuting_relations(table: _Table, p: int) -> List[Dict[Tuple[int, ...], int]]:
     """The Jacobi relations at dimension (1, 1, 1) as commuting polynomials mod p.
 
     Scalars commute, so each path of a cyclic derivative evaluates to the
@@ -128,7 +140,7 @@ def _commuting_relations(potential: CyclicPotential, p: int) -> List[Dict[Tuple[
     a1, a2, b1, b2 = ARROW_ORDER
     inverses: Dict[int, int] = {}  # each distinct denominator inverted once
     relations = []
-    for derivative in _cyclic_derivatives(potential).values():
+    for derivative in table.values():
         relation: Dict[Tuple[int, ...], int] = {}
         for path, coeff in derivative.items():
             den = coeff.denominator
@@ -159,10 +171,8 @@ def _relations_hold(relations: List[Dict[Tuple[int, ...], int]], values: Tuple[i
 
 def satisfies_relations(rep: FramedRep, potential: CyclicPotential) -> bool:
     """Evaluate every cyclic-derivative relation on the representation."""
-    if potential.quiver != conifold_quiver():
-        raise DomainError("relations are derived from a conifold potential")
     values = tuple(getattr(rep, x).value for x in ARROW_ORDER)
-    return _relations_hold(_commuting_relations(potential, rep.p), values, rep.p)
+    return _relations_hold(_commuting_relations(_conifold_table(potential), rep.p), values, rep.p)
 
 
 _FRAMED = framed_conifold_quiver()
@@ -213,11 +223,14 @@ def count_points(potential: CyclicPotential, theta: StabilityParameter, p: int) 
     order of the remaining free torus factor.  Primes above
     ``MAX_COUNT_PRIME`` are refused, since the cost grows as p^4.
     """
-    if potential.quiver != conifold_quiver():
-        raise DomainError("counting is defined for conifold potentials")
+    return _count_points(_conifold_table(potential), theta, p)
+
+
+def _count_points(table: _Table, theta: StabilityParameter, p: int) -> int:
+    """``count_points`` on the potential's cyclic-derivative table."""
     theta._require_framed_chamber()
     _check_count_bound(p)
-    relations = _commuting_relations(potential, p)
+    relations = _commuting_relations(table, p)
     a1_bit, a2_bit, b1_bit, b2_bit, i_bit = (_BIT[x] for x in ARROW_ORDER + ("i",))
     stable = theta._stable_patterns
 
@@ -298,7 +311,7 @@ class CountReport(_Record):
         }
 
 
-def _degenerate_primes(table: Dict[str, Dict[Tuple[str, ...], Fraction]], primes: Sequence[int]) -> List[int]:
+def _degenerate_primes(table: _Table, primes: Sequence[int]) -> List[int]:
     """Primes dividing any numerator or denominator of a cyclic-derivative table.
 
     In those characteristics the relation scheme changes shape, so the
@@ -327,7 +340,7 @@ def counting_report(
     the report records whether the fit equals the classical q^3 + q^2.
     """
     theta._require_framed_chamber()
-    ps = sorted(set(int(p) for p in primes))
+    ps = sorted(set(map(index, primes)))  # index() refuses floats and strings
     if len(ps) < 4:
         raise DomainError("need at least four primes for a degree-3 fit")
     for p in ps:
@@ -335,11 +348,11 @@ def counting_report(
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
 
-    table = _cyclic_derivatives(potential)
+    table = _conifold_table(potential)
     excluded = _degenerate_primes(table, ps)
     # the relations are undefined mod p exactly when p divides a denominator
     denominators = {c.denominator for d in table.values() for c in d.values()}
-    counts = {p: count_points(potential, theta, p) for p in ps if all(v % p for v in denominators)}
+    counts = {p: _count_points(table, theta, p) for p in ps if all(v % p for v in denominators)}
     included = [p for p in ps if p not in excluded]
 
     polynomial = None

@@ -15,7 +15,7 @@ matrix types used throughout:
 * ``ExactMatrix``: dense matrices over Q(i) with exact rank, Kronecker
   products, power traces, nilpotency decided by them, and a determinant
   that never divides, which the covering proof runs on ``_Poly`` entries.
-* ``BinaryForm``: homogeneous forms in two variables over Q(i), with GCD.
+* ``binary_form_gcd``: the gcd of binary forms given as coefficient tuples.
   Its long division of descending coefficient lists also runs the Sturm
   chains and the square-free factors of ``potential.reconstruct_spectrum``.
 * ``_Poly``: sparse polynomials over Q(i), for the symbolic proofs and
@@ -23,8 +23,8 @@ matrix types used throughout:
 * ``_Record``: the read-only base of every class with public fields.
 
 Plain ``int`` and ``Fraction`` values coerce into ``GaussianRational``
-wherever a scalar is expected, which keeps call sites readable.  No value
-here converts to a float.
+wherever a scalar is expected, which keeps call sites readable; a float or
+a string raises ``TypeError``.  No value here converts to a float.
 """
 
 from __future__ import annotations
@@ -55,6 +55,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _rational(value: Union[int, Fraction]) -> Fraction:
+    """``value`` as a ``Fraction``: an int or a ``Fraction``, never a float or a string."""
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+
+
 class GaussianRational:
     """An element (a + b*i)/d of Q(i), stored as a canonical triple of ints.
 
@@ -70,8 +77,8 @@ class GaussianRational:
         if type(re) is int and type(im) is int:
             self._a, self._b, self._d = re, im, 1
             return
-        re = Fraction(re)
-        im = Fraction(im)
+        re = _rational(re)
+        im = _rational(im)
         dr, di = re.denominator, im.denominator
         # over the lcm of two reduced denominators, gcd(a, b, d) is already 1
         d = dr if dr == di else dr * di // gcd(dr, di)
@@ -93,11 +100,7 @@ class GaussianRational:
 
     @staticmethod
     def coerce(value: ScalarLike) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return GaussianRational(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
+        return value if isinstance(value, GaussianRational) else GaussianRational(value)
 
     # -- arithmetic ----------------------------------------------------
     # Each operation works on the triples and reduces at most once.
@@ -658,88 +661,6 @@ class ExactMatrix(_Record):
 
 # -- binary forms -----------------------------------------------------
 
-class BinaryForm(_Record):
-    """A homogeneous form in two variables u1, u2 over Q(i).
-
-    ``coeffs[k]`` multiplies ``u1^(d-k) * u2^k`` where d is the degree,
-    so the list reads off powers of u1 in descending order.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[ScalarLike]):
-        if not coeffs:
-            raise ValueError("a binary form needs at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(GaussianRational.coerce(c) for c in coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def evaluate(self, u1: ScalarLike, u2: ScalarLike) -> GaussianRational:
-        a = GaussianRational.coerce(u1)
-        b = GaussianRational.coerce(u2)
-        d = self.degree
-        total = GaussianRational(0)
-        for k, c in enumerate(self.coeffs):
-            total = total + c * a ** (d - k) * b ** k
-        return total
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = GaussianRational.coerce(other)
-            return BinaryForm([c * x for x in self.coeffs])
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        out = [GaussianRational(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return BinaryForm(out)
-
-    __rmul__ = __mul__
-
-    def normalized(self) -> "BinaryForm":
-        """Rescale so the first nonzero coefficient is 1 (zero stays zero)."""
-        for c in self.coeffs:
-            if not c.is_zero():
-                inv = c.inverse()
-                return BinaryForm([inv * x for x in self.coeffs])
-        return self
-
-    def _split(self):
-        """Write the form as u2^beta * g with g(u1, 1) a polynomial of full degree.
-
-        Returns (beta, descending coefficient list of g); the zero form
-        returns (None, []).
-        """
-        beta = None
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                beta = k
-                break
-        if beta is None:
-            return None, []
-        return beta, list(self.coeffs[beta:])
-
-    def divides(self, other: "BinaryForm") -> bool:
-        if self.is_zero():
-            return other.is_zero()
-        if other.is_zero():
-            return True
-        beta_s, poly_s = self._split()
-        beta_o, poly_o = other._split()
-        if beta_s > beta_o:
-            return False
-        _, rem = _poly_divmod(poly_o, poly_s)
-        return not rem
-
-
 def _poly_trim(coeffs):
     """Drop leading zeros from a descending coefficient list."""
     k = 0
@@ -769,41 +690,38 @@ def _poly_divmod(num, den):
 
 
 def _poly_gcd(a, b):
-    """Monic GCD of two descending coefficient lists over Q(i)."""
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
+    """Monic gcd of descending coefficient lists over Q(i); b leads with a nonzero."""
     while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if not a:
-        return []
+        a, b = b, _poly_divmod(a, b)[1]
     inv = a[0].inverse()
     return [inv * c for c in a]
 
 
-def binary_form_gcd(forms: Iterable[BinaryForm]) -> BinaryForm:
-    """Greatest common divisor of binary forms, normalized to leading coefficient 1.
+def binary_form_gcd(forms: Iterable[Sequence[ScalarLike]]) -> Tuple[GaussianRational, ...]:
+    """Monic greatest common divisor of binary forms in u1, u2 over Q(i).
 
-    Powers of u2 shared by all inputs are part of the answer: each form is
-    split as u2^beta * g, the dehomogenized g parts are run through the
-    Euclidean algorithm, and the minimum beta is restored at the end.
-    If every input is zero the zero form is returned.  Once the gcd is 1
-    (a constant, and some beta = 0) no later form can lower it, so none is read.
+    A form is its coefficient sequence in descending powers of u1, with
+    int, ``Fraction`` or ``GaussianRational`` entries.  Each nonzero form
+    is split as u2^beta * g, the g(u1, 1) parts run through the Euclidean
+    algorithm, and the least beta is restored.  The result is a tuple
+    whose first nonzero entry is 1: ``(1,)`` for coprime forms, ``(0,)``
+    when every form is zero.  Once the gcd is 1 (a constant, and some
+    beta = 0) no later form can lower it, so none is read.
     """
     min_beta = None
     poly_gcd: list = []
     for form in forms:
-        beta, poly = form._split()
+        coeffs = [GaussianRational.coerce(c) for c in form]
+        beta = next((k for k, c in enumerate(coeffs) if c), None)
         if beta is None:
             continue
         min_beta = beta if min_beta is None else min(min_beta, beta)
-        poly_gcd = _poly_gcd(poly_gcd, poly) if poly_gcd else _poly_gcd(poly, [])
+        poly_gcd = _poly_gcd(poly_gcd, coeffs[beta:])
         if min_beta == 0 and len(poly_gcd) == 1:
-            return BinaryForm([1])
+            return (GaussianRational(1),)
     if min_beta is None:
-        return BinaryForm([0])
-    coeffs = [GaussianRational(0)] * min_beta + (poly_gcd or [GaussianRational(1)])
-    return BinaryForm(coeffs)
+        return (GaussianRational(0),)
+    return (GaussianRational(0),) * min_beta + tuple(poly_gcd)
 
 
 # -- sparse polynomials -----------------------------------------------

@@ -36,6 +36,7 @@ from .exact import (
     _Poly,
     _Record,
     _poly_divmod,
+    _rational,
     fraction_str,
 )
 from .quintuple import (
@@ -83,7 +84,7 @@ class SymmetricPotentialMatrix(_Record):
     def __init__(self, rows: Sequence[Sequence[Fraction]]):
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise SchemaError("expected a 4x4 matrix")
-        n = tuple(tuple(v if type(v) is Fraction else Fraction(v) for v in row) for row in rows)
+        n = tuple(tuple(v if type(v) is Fraction else _rational(v) for v in row) for row in rows)
         for r in range(4):
             for c in range(r):
                 if n[r][c] != n[c][r]:
@@ -117,10 +118,9 @@ class SymmetricPotentialMatrix(_Record):
 
     @classmethod
     def diagonal(cls, values: Sequence[Fraction]) -> "SymmetricPotentialMatrix":
-        vals = [Fraction(v) for v in values]
-        if len(vals) != 4:
+        if len(values) != 4:
             raise ValueError("need four diagonal values")
-        return cls([[vals[r] if r == c else Fraction(0) for c in range(4)] for r in range(4)])
+        return cls([[values[r] if r == c else Fraction(0) for c in range(4)] for r in range(4)])
 
 
 def potential_to_sym_matrix(potential: CyclicPotential) -> SymmetricPotentialMatrix:
@@ -305,7 +305,7 @@ def fiber_experiment(spectrum: Sequence[Fraction]) -> FiberReport:
     the distinct points of P(1, 2, 3, 4) they produce form the fiber.
     Odd patterns change the determinant sign and land elsewhere.
     """
-    xs = [Fraction(v) for v in spectrum]
+    xs = [_rational(v) for v in spectrum]
     if len(xs) != 4:
         raise DomainError("the fiber experiment needs four spectrum values")
     if len(set(xs)) != 4:

@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError, SchemaError
 from .exact import (
-    BinaryForm,
     ExactMatrix,
     GaussianRational,
     ScalarLike,
@@ -259,14 +258,14 @@ def weighted_point_equal(p: WeightedPoint, q: WeightedPoint) -> bool:
     return all(r == nu ** (w // g) for r, w in zip(ratios, weights))
 
 
-def geometricity_minors(q: Quintuple, j: int) -> List[BinaryForm]:
+def geometricity_minors(q: Quintuple, j: int) -> List[Tuple[GaussianRational, ...]]:
     """Six quadratic binary forms: the 2x2 minors of the slot-j contraction.
 
     Slot j carries the variables (u1, u2), slot j + 1 (mod 4) is the
     column, and the other two slots, in increasing slot order, index the
     four rows in PAIR_INDEX order.  Every entry of this 4x2 matrix is a
-    linear form in u1, u2; the minors come in row-pair order (0, 1),
-    (0, 2), ..., (2, 3).
+    linear form in u1, u2; each minor is its triple (c0, c1, c2) of
+    c0 u1^2 + c1 u1 u2 + c2 u2^2, in row-pair order (0, 1), ..., (2, 3).
     """
     return list(_minors(q, j))
 
@@ -281,20 +280,18 @@ def _minors(q: Quintuple, j: int):
         a, c, k0, k1 = (index[s] for s in slots)
         rows[2 * k0 + k1][a][c] = q[index]
     for x, y in combinations(rows, 2):
-        yield BinaryForm(
-            [
-                x[0][0] * y[0][1] - x[0][1] * y[0][0],
-                x[0][0] * y[1][1] + x[1][0] * y[0][1] - x[0][1] * y[1][0] - x[1][1] * y[0][0],
-                x[1][0] * y[1][1] - x[1][1] * y[1][0],
-            ]
+        yield (
+            x[0][0] * y[0][1] - x[0][1] * y[0][0],
+            x[0][0] * y[1][1] + x[1][0] * y[0][1] - x[0][1] * y[1][0] - x[1][1] * y[0][0],
+            x[1][0] * y[1][1] - x[1][1] * y[1][0],
         )
 
 
 def is_geometric(q: Quintuple) -> Tuple[bool, Optional[int]]:
     """Whether all four slot contractions are base point free.
 
-    Slot j passes when the gcd of its six minors is a nonzero constant:
-    a zero gcd (every minor vanishes) or one of positive degree leaves a
+    Slot j passes when the gcd of its six minors is ``(1,)``: a zero gcd
+    ``(0,)`` (every minor vanishes) or one of positive degree leaves a
     common zero.  The first failing slot is reported alongside False.
     Each minor is built when read, and ``binary_form_gcd`` stops reading
     at the first one that leaves a constant gcd.
@@ -303,7 +300,7 @@ def is_geometric(q: Quintuple) -> Tuple[bool, Optional[int]]:
         raise DomainError("geometricity of the zero tensor is not defined")
     for j in range(4):
         gcd = binary_form_gcd(_minors(q, j))
-        if gcd.degree or gcd.is_zero():
+        if len(gcd) > 1 or not gcd[0]:
             return False, j
     return True, None
 

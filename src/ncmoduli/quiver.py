@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError
-from .exact import GaussianRational, ScalarLike, _Record, row_reduce
+from .exact import GaussianRational, ScalarLike, _Record, _rational, row_reduce
 
 #: Longest path length accepted by :func:`graded_dimension`.
 MAX_GRADED_LENGTH = 8
@@ -276,7 +276,7 @@ class CyclicPotential(_Record):
             word = tuple(word)
             _check_cyclic_word(quiver, word)
             # Fractions are immutable, so a Fraction coefficient is kept as given
-            c = coeff if type(coeff) is Fraction else Fraction(coeff)
+            c = coeff if type(coeff) is Fraction else _rational(coeff)
             if c == 0:
                 continue
             key = _canonical_rotation(word)
@@ -298,7 +298,7 @@ class CyclicPotential(_Record):
         return len(lengths) <= 1
 
     def scale(self, factor: Union[int, Fraction]) -> "CyclicPotential":
-        f = Fraction(factor)
+        f = _rational(factor)
         return CyclicPotential(self.quiver, {w: f * c for w, c in self.terms.items()})
 
     def __add__(self, other):

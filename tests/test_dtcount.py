@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from ncmoduli import dtcount
 from ncmoduli.errors import DomainError
 from ncmoduli.exact import is_prime
 from ncmoduli.dtcount import (
@@ -224,6 +225,13 @@ def test_report_json_shape():
     assert blob["euler_characteristic"] == "2"
     assert blob["matches_classical"] is True
     assert isinstance(report, CountReport)
+
+
+def test_a_report_reads_the_relation_table_once(count_calls):
+    calls = count_calls(dtcount, "_cyclic_derivatives")
+    report = counting_report(conifold_potential(), default_stability(), (2, 3, 5, 7, 11, 13))
+    assert sorted(report.counts) == [2, 3, 5, 7, 11, 13]
+    assert len(calls) == 1
 
 
 # -- reference: a brute force over every gauge-fixed point ---------------

@@ -9,7 +9,6 @@ import pytest
 
 from ncmoduli.errors import SchemaError
 from ncmoduli.exact import (
-    BinaryForm,
     ExactMatrix,
     GaussianRational,
     PrimeFieldElement,
@@ -395,17 +394,54 @@ def test_matrix_algebra_basics():
         ExactMatrix([[1, 2], [3]])
 
 
+def _form_mul(f, g):
+    """The product of two binary forms given as descending coefficient tuples."""
+    out = [GaussianRational(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _evaluate(form, u1, u2):
+    d = len(form) - 1
+    return sum((c * u1 ** (d - k) * u2 ** k for k, c in enumerate(form)), GaussianRational(0))
+
+
+def _divides(f, g):
+    """Whether the binary form f divides g, from the u2^beta split and long division.
+
+    A nonzero form is u2^beta times a form whose u1 part has full degree;
+    f divides g when its beta is at most g's and its u1 part divides g's.
+    """
+    bf = next((k for k, c in enumerate(f) if c), None)
+    bg = next((k for k, c in enumerate(g) if c), None)
+    if bf is None or bg is None:
+        return bg is None
+    if bf > bg:
+        return False
+    den, rem = list(f[bf:]), list(g[bg:])
+    while rem and len(rem) >= len(den):
+        factor = rem[0] / den[0]
+        rem = [x - factor * y for x, y in zip(rem, den + [0] * (len(rem) - len(den)))][1:]
+        while rem and not rem[0]:
+            rem = rem[1:]
+    return not rem
+
+
+def _is_monic(form):
+    return next(c for c in form if c) == 1
+
+
 def test_binary_form_gcd_coprime_and_shared():
-    u1sq = BinaryForm([1, 0, 0])
-    u2sq = BinaryForm([0, 0, 1])
-    assert binary_form_gcd([u1sq, u2sq]) == BinaryForm([1])
-    u1u2 = BinaryForm([0, 1, 0])
-    assert binary_form_gcd([u1u2, u1sq]) == BinaryForm([1, 0])
-    assert binary_form_gcd([u1u2, u2sq]) == BinaryForm([0, 1])
+    u1sq, u2sq, u1u2 = (1, 0, 0), (0, 0, 1), (0, 1, 0)
+    assert binary_form_gcd([u1sq, u2sq]) == (1,)
+    assert binary_form_gcd([u1u2, u1sq]) == (1, 0)
+    assert binary_form_gcd([u1u2, u2sq]) == (0, 1)
     # coprime u1 parts leave the shared u2, until a form without u2 comes
-    u2_u1_plus_u2 = BinaryForm([0, 1, 1])
-    assert binary_form_gcd([u1u2, u2_u1_plus_u2]) == BinaryForm([0, 1])
-    assert binary_form_gcd([u1u2, u2_u1_plus_u2, u1sq]) == BinaryForm([1])
+    u2_u1_plus_u2 = (0, 1, 1)
+    assert binary_form_gcd([u1u2, u2_u1_plus_u2]) == (0, 1)
+    assert binary_form_gcd([u1u2, u2_u1_plus_u2, u1sq]) == (1,)
 
 
 def test_binary_form_gcd_stops_at_the_deciding_form():
@@ -413,43 +449,67 @@ def test_binary_form_gcd_stops_at_the_deciding_form():
         yield from deciding
         raise AssertionError("read a form after the gcd was decided")
 
-    u1sq, u2sq, u1u2 = BinaryForm([1, 0, 0]), BinaryForm([0, 0, 1]), BinaryForm([0, 1, 0])
-    zero = BinaryForm([0, 0, 0])
-    assert binary_form_gcd(forms(u1sq, u2sq)) == BinaryForm([1])
-    assert binary_form_gcd(forms(zero, BinaryForm([3]))) == BinaryForm([1])
+    u1sq, u2sq, u1u2 = (1, 0, 0), (0, 0, 1), (0, 1, 0)
+    zero = (0, 0, 0)
+    assert binary_form_gcd(forms(u1sq, u2sq)) == (1,)
+    assert binary_form_gcd(forms(zero, (3,))) == (1,)
     # a constant u1 part with every beta > 0 leaves a power of u2 to share,
     # so the fold reads on until a form without u2 comes
-    assert binary_form_gcd(forms(u1u2, u2sq, u1sq)) == BinaryForm([1])
-    assert binary_form_gcd(iter([u1u2, u2sq])) == BinaryForm([0, 1])
+    assert binary_form_gcd(forms(u1u2, u2sq, u1sq)) == (1,)
+    assert binary_form_gcd(iter([u1u2, u2sq])) == (0, 1)
 
 
 def test_binary_form_gcd_zero_handling():
-    zero = BinaryForm([0, 0])
-    f = BinaryForm([2, 3])
-    assert binary_form_gcd([zero, zero]).is_zero()
-    assert binary_form_gcd([zero, f]) == f.normalized()
-    assert binary_form_gcd([f]) == f.normalized()
-    assert binary_form_gcd([BinaryForm([3]), zero]) == BinaryForm([1])
+    zero = (0, 0)
+    f = (2, 3)
+    assert binary_form_gcd([zero, zero]) == (0,)
+    assert binary_form_gcd([]) == (0,)
+    assert binary_form_gcd([zero, f]) == (1, Fraction(3, 2))
+    assert binary_form_gcd([f]) == (1, Fraction(3, 2))
+    assert binary_form_gcd([(3,), zero]) == (1,)
 
 
 def test_binary_form_gcd_randomized_common_factor():
     rng = Random(107)
     for _ in range(30):
-        common = BinaryForm([_rand_gaussian(rng, 3, 2) for _ in range(3)])
-        while common.is_zero():
-            common = BinaryForm([_rand_gaussian(rng, 3, 2) for _ in range(3)])
-        f = common * BinaryForm([_rand_gaussian(rng, 3, 2) for _ in range(2)])
-        g = common * BinaryForm([_rand_gaussian(rng, 3, 2) for _ in range(2)])
+        common = tuple(_rand_gaussian(rng, 3, 2) for _ in range(3))
+        while not any(common):
+            common = tuple(_rand_gaussian(rng, 3, 2) for _ in range(3))
+        f = _form_mul(common, [_rand_gaussian(rng, 3, 2) for _ in range(2)])
+        g = _form_mul(common, [_rand_gaussian(rng, 3, 2) for _ in range(2)])
         got = binary_form_gcd([f, g])
-        assert common.divides(got)
-        assert got.divides(f) and got.divides(g)
+        assert type(got) is tuple and _is_monic(got)
+        assert _divides(common, got)
+        assert _divides(got, f) and _divides(got, g)
 
 
 def test_binary_form_normalization_and_eval():
-    f = BinaryForm([0, Fraction(2), Fraction(4)])
-    n = f.normalized()
-    assert n == BinaryForm([0, 1, 2])
-    assert f.evaluate(1, 1) == 6
-    assert f.evaluate(Fraction(1, 2), 1) == 5
-    g = BinaryForm([1, 0]) * BinaryForm([0, 1])
-    assert g == BinaryForm([0, 1, 0])
+    # the gcd of one form is that form made monic, with the same zeros
+    f = (0, Fraction(2), Fraction(4))
+    n = binary_form_gcd([f])
+    assert n == (0, 1, 2) and _is_monic(n)
+    assert _evaluate(f, 1, 1) == 6
+    assert _evaluate(f, Fraction(1, 2), 1) == 5
+    for u1, u2 in ((-2, 1), (1, 0)):
+        assert _evaluate(n, u1, u2) == 0 and _evaluate(f, u1, u2) == 0
+    assert _form_mul((1, 0), (0, 1)) == (0, 1, 0)
+
+
+def test_binary_form_gcd_takes_coefficient_tuples():
+    g = GaussianRational
+    assert binary_form_gcd([(0, 1, 0), (0, 0, 1)]) == (0, 1)
+    mixed = [(Fraction(1, 2), g(0, 1), 0), (g(2), Fraction(0), 0), (0, 1, 0)]
+    got = binary_form_gcd(mixed)
+    assert got == (1, 0)
+    assert type(got) is tuple and all(type(c) is GaussianRational for c in got)
+    # forms of different degrees: u1 * (u1 + i u2) and u1
+    assert binary_form_gcd([(1, g(0, 1), 0), [1, 0]]) == (1, 0)
+    assert binary_form_gcd([(1, g(0, 1), 0), (1, g(0, 1), 0)]) == (1, g(0, 1), 0)
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/3", None])
+def test_binary_form_gcd_refuses_coefficients_that_are_not_rational(bad):
+    with pytest.raises(TypeError):
+        binary_form_gcd([(1, bad, 0)])
+    with pytest.raises(TypeError):
+        binary_form_gcd([(0, 0, 0), (bad,)])

@@ -3,13 +3,22 @@
 Like ``test_unused_imports.py`` this walks the syntax trees with ``ast``.
 A module fails when it holds a float or complex literal, a ``float(...)``
 or ``complex(...)`` call, or an import of ``cmath``.  ``acceptance.py`` is
-exempt: its time budgets and measured seconds are floats.
+exempt: its time budgets and measured seconds are floats.  Nor does a
+float or a string get in through an argument: every entry point that
+takes a rational accepts an int or a ``Fraction`` and raises
+``TypeError`` for anything else, and ``counting_report`` takes int primes.
 """
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import ncmoduli
+from ncmoduli.dtcount import StabilityParameter, counting_report, default_stability
+from ncmoduli.exact import GaussianRational
+from ncmoduli.potential import SymmetricPotentialMatrix, fiber_experiment
+from ncmoduli.quiver import CyclicPotential, conifold_potential, conifold_quiver
 
 PACKAGE = Path(ncmoduli.__file__).parent
 EXEMPT = {"acceptance.py"}
@@ -43,3 +52,30 @@ def test_no_module_uses_floats():
 def test_the_guard_sees_each_use():
     source = "import cmath\nfrom cmath import pi\nx = 0.5\ny = 2j\nz = float(x)\nw = complex(x, 1)\nv = 1 / 2\n"
     assert sorted(line for line, _ in _float_uses(ast.parse(source))) == [1, 2, 3, 4, 5, 6]
+
+
+ENTRY_POINTS = {
+    "GaussianRational": lambda v: GaussianRational(v),
+    "GaussianRational.im": lambda v: GaussianRational(1, v),
+    "SymmetricPotentialMatrix": lambda v: SymmetricPotentialMatrix(
+        [[v if r == c == 0 else 0 for c in range(4)] for r in range(4)]
+    ),
+    "SymmetricPotentialMatrix.diagonal": lambda v: SymmetricPotentialMatrix.diagonal((1, 2, 3, v)),
+    "CyclicPotential": lambda v: CyclicPotential(conifold_quiver(), {("a1", "b1", "a2", "b2"): v}),
+    "CyclicPotential.scale": lambda v: conifold_potential().scale(v),
+    "StabilityParameter": lambda v: StabilityParameter(-1, -1, v),
+    "StabilityParameter.from_values": lambda v: StabilityParameter.from_values((-1, -1, v)),
+    "fiber_experiment": lambda v: fiber_experiment((1, 2, 3, v)),
+    "counting_report": lambda v: counting_report(conifold_potential(), default_stability(), (2, 3, 5, v)),
+}
+
+
+@pytest.mark.parametrize("bad", [0.1, 7.9, "1/3"])
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_points_refuse_values_that_are_not_rational(name, bad):
+    # each was once converted silently: a float to its binary Fraction,
+    # "1/3" by parsing, and counting_report's 7.9 to the prime 7
+    call = ENTRY_POINTS[name]
+    call(7)
+    with pytest.raises(TypeError):
+        call(bad)

@@ -17,7 +17,7 @@ from ncmoduli.acceptance import CriterionResult
 from ncmoduli.dtcount import CountReport, FramedRep, StabilityParameter, default_stability, is_theta_stable
 from ncmoduli.elliptic import EllipticConfiguration, EllPoint, LambdaPair, random_configuration
 from ncmoduli.errors import DomainError
-from ncmoduli.exact import BinaryForm, ExactMatrix, GaussianRational, PrimeFieldElement
+from ncmoduli.exact import ExactMatrix, GaussianRational, PrimeFieldElement
 from ncmoduli.potential import (
     FiberReport,
     PotentialInvariants,
@@ -63,7 +63,6 @@ def _cases():
         (EllPoint, ("x", "y", "z"), (G(1), G(0), G(1)), G(2)),
         (EllipticConfiguration, ("lam", "p1", "p2"), (cfg.lam, cfg.p1, cfg.p2), cfg.p1),
         (ExactMatrix, ("rows",), (((G(1), G(2)), (G(3), G(4))),), ((G(1), G(2)), (G(3), G(5)))),
-        (BinaryForm, ("coeffs",), ((G(1), G(0), G(-2)),), (G(1), G(0), G(2))),
         (
             CyclicPotential,
             ("quiver", "terms"),
