@@ -26,10 +26,9 @@ _EXPORTS = {
         "scalar_from_json", "scalar_to_json",
     ),
     "quiver": (
-        "AlgebraElement", "CyclicPotential", "Path", "Quiver", "conifold_potential",
-        "conifold_quiver", "double_cover_quiver", "framed_conifold_quiver",
-        "graded_dimension", "jacobi_generators", "partial_derivative",
-        "potential_double_cover",
+        "CyclicPotential", "Quiver", "conifold_potential", "conifold_quiver",
+        "double_cover_quiver", "framed_conifold_quiver", "graded_dimension",
+        "jacobi_generators", "potential_double_cover",
     ),
     "quintuple": (
         "J_MATRIX", "Quintuple", "QuintupleInvariants", "WeightedPoint",

@@ -16,14 +16,14 @@ Stability depends only on which of the five scalars vanish, so each
 StabilityParameter holds one verdict per zero pattern (32 of them).
 ``is_theta_stable`` reads that table, and so does the parameter's own
 framed-chamber check, which ``count_points`` and ``counting_report`` run
-before any count.  The relations come from the cyclic-derivative table
-of ``quiver`` that ``jacobi_generators`` reads too: once per call, each
-path becomes the monomial of its arrow counts, giving commuting
-polynomials mod p.  The count walks the (a1, a2) slices: a slice on
-which every relation vanishes adds its stable points in closed form,
-and any other slice is enumerated point by point over (b1, b2), so
-potentials whose relations cut out a proper subset still cost O(p^4).
-Primes above ``MAX_COUNT_PRIME`` are refused before any enumeration.
+before any count.  The relations are the table of
+``quiver.jacobi_generators``, built once per call: each path becomes
+the monomial of its arrow counts, giving commuting polynomials mod p.
+The count walks the (a1, a2) slices: a slice on which every relation
+vanishes adds its stable points in closed form, and any other slice is
+enumerated point by point over (b1, b2), so potentials whose relations
+cut out a proper subset still cost O(p^4).  Primes above
+``MAX_COUNT_PRIME`` are refused before any enumeration.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .exact import PrimeFieldElement, _Poly, _Record, _rational, fraction_str, is_prime
-from .quiver import CyclicPotential, _cyclic_derivatives, conifold_quiver, framed_conifold_quiver
+from .quiver import CyclicPotential, conifold_quiver, framed_conifold_quiver, jacobi_generators
 
 ARROW_ORDER = ("a1", "a2", "b1", "b2")
 
-#: A cyclic-derivative table of ``quiver``: arrow -> {path: coefficient}.
+#: The table of ``jacobi_generators``: arrow -> {path: coefficient}.
 _Table = Dict[str, Dict[Tuple[str, ...], Fraction]]
 
 #: Largest prime accepted by :func:`count_points` and :func:`counting_report`.
@@ -115,10 +115,10 @@ def _check_count_bound(p: int) -> None:
 
 
 def _conifold_table(potential: CyclicPotential) -> _Table:
-    """The cyclic-derivative table of a conifold potential, which the relations read."""
+    """The ``jacobi_generators`` table of a conifold potential, which the relations read."""
     if potential.quiver != conifold_quiver():
         raise DomainError("relations are defined for conifold potentials")
-    return _cyclic_derivatives(potential)
+    return jacobi_generators(potential)
 
 
 def _commuting_relations(table: _Table, p: int) -> List[Dict[Tuple[int, ...], int]]:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import gcd, isqrt
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import DomainError, SchemaError
@@ -419,7 +419,8 @@ class PrimeFieldElement(_Record):
     It carries no arithmetic: the point counts work on ints, and
     ``dtcount.FramedRep`` reads ``value``.  It equals the ints congruent
     to it, so it keeps its own equality and hash; the record base makes
-    its fields read-only.
+    its fields read-only.  A value that is not an int (a float, say)
+    raises ``TypeError``.
     """
 
     __slots__ = ("value", "p")
@@ -427,7 +428,7 @@ class PrimeFieldElement(_Record):
     def __init__(self, value: int, p: int):
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
-        self._assign(value % p, p)
+        self._assign(index(value) % p, p)
 
     def __eq__(self, other):
         if isinstance(other, PrimeFieldElement):

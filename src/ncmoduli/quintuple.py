@@ -185,13 +185,18 @@ def classify_stability(q: Quintuple) -> str:
 
 
 class WeightedPoint(_Record):
-    """A point of a weighted projective space, kept as raw coordinates."""
+    """A point of a weighted projective space, kept as raw coordinates.
+
+    Each weight is an int of at least 1; anything else raises ``ValueError``.
+    """
 
     __slots__ = ("weights", "coords")
 
     def __init__(self, weights: Tuple[int, ...], coords: Sequence[ScalarLike]):
         if len(weights) != len(coords):
             raise ValueError("weights and coordinates differ in length")
+        if not all(type(w) is int and w >= 1 for w in weights):
+            raise ValueError(f"weights {weights} are not all ints of at least 1")
         coords = tuple(GaussianRational.coerce(c) for c in coords)
         if all(c.is_zero() for c in coords):
             raise DomainError("all coordinates vanish; not a point of weighted space")

@@ -1,20 +1,23 @@
-"""Quivers, path algebra elements, and potentials.
+"""Quivers, potentials and their Jacobi relations.
 
-Paths are stored leftmost-first: the tuple ``(x_n, ..., x_1)`` is the
-composite that applies ``x_1`` first, so two paths compose exactly when
-the source of the left factor equals the target of the right factor.
-Potentials are finite rational combinations of cyclic paths; each cycle
-is stored under its lexicographically least rotation so that equality of
-potentials is dictionary equality.
+A path is a word of arrow labels stored leftmost-first: the tuple
+``(x_n, ..., x_1)`` applies ``x_1`` first, so two words compose exactly
+when the source of the left factor equals the target of the right
+factor; ``enumerate_paths`` yields the composable words between two
+vertices.  Potentials are finite rational combinations of cyclic words;
+each cycle is stored under its lexicographically least rotation so that
+equality of potentials is dictionary equality.  ``jacobi_generators``
+gives the relations as one table, arrow -> {path word: coefficient},
+which ``graded_dimension`` and the ``dtcount`` counts read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
 from .errors import DomainError
-from .exact import GaussianRational, ScalarLike, _Record, _rational, row_reduce
+from .exact import GaussianRational, _Record, _rational, row_reduce
 
 #: Longest path length accepted by :func:`graded_dimension`.
 MAX_GRADED_LENGTH = 8
@@ -60,28 +63,6 @@ class Quiver(_Record):
 
     def arrows_from(self, vertex: str) -> Tuple[str, ...]:
         return tuple(a[0] for a in self.arrows if a[1] == vertex)
-
-    def unit(self, vertex: str) -> "Path":
-        if vertex not in self.vertices:
-            raise DomainError(f"unknown vertex {vertex!r} in quiver {self.name}")
-        return Path(arrows=(), source=vertex, target=vertex)
-
-    def path(self, labels: Sequence[str]) -> "Path":
-        """Build a path from leftmost-first labels, checking composability."""
-        labels = tuple(labels)
-        if not labels:
-            raise ValueError("use Quiver.unit for length-zero paths")
-        for left, right in zip(labels, labels[1:]):
-            if self.source(left) != self.target(right):
-                raise DomainError(
-                    f"arrows {left!r} and {right!r} do not compose "
-                    f"({self.source(left)} != {self.target(right)})"
-                )
-        return Path(
-            arrows=labels,
-            source=self.source(labels[-1]),
-            target=self.target(labels[0]),
-        )
 
 
 _CONIFOLD = Quiver(
@@ -141,98 +122,6 @@ def framed_conifold_quiver() -> Quiver:
             ("i", "vinf", "v0"),
         ),
     )
-
-
-class Path(_Record):
-    """A composable word of arrows plus its endpoints.
-
-    ``arrows`` is leftmost-first; a length-zero path is the lazy unit at
-    its vertex.
-    """
-
-    __slots__ = ("arrows", "source", "target")
-
-    def __init__(self, arrows: Tuple[str, ...], source: str, target: str):
-        self._assign(arrows, source, target)
-
-    @property
-    def length(self) -> int:
-        return len(self.arrows)
-
-    def compose(self, other: "Path") -> Optional["Path"]:
-        """self * other (other applied first); None when endpoints mismatch."""
-        if self.source != other.target:
-            return None
-        return Path(
-            arrows=self.arrows + other.arrows,
-            source=other.source,
-            target=self.target,
-        )
-
-    def sort_key(self):
-        return (self.source, self.length, self.arrows)
-
-
-class AlgebraElement(_Record):
-    """A finite Q(i)-combination of paths in a fixed quiver."""
-
-    __slots__ = ("quiver", "terms")
-    __hash__ = None
-
-    def __init__(self, quiver: Quiver, terms: Mapping[Path, ScalarLike] = ()):
-        clean: Dict[Path, GaussianRational] = {}
-        for path, coeff in dict(terms).items():
-            c = GaussianRational.coerce(coeff)
-            if not c.is_zero():
-                clean[path] = c
-        self._assign(quiver, clean)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def items(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def __add__(self, other):
-        if not isinstance(other, AlgebraElement) or other.quiver != self.quiver:
-            return NotImplemented
-        merged = dict(self.terms)
-        for path, coeff in other.terms.items():
-            merged[path] = merged.get(path, GaussianRational(0)) + coeff
-        return AlgebraElement(self.quiver, merged)
-
-    def __sub__(self, other):
-        if not isinstance(other, AlgebraElement) or other.quiver != self.quiver:
-            return NotImplemented
-        return self + other.scale(-1)
-
-    def scale(self, factor: ScalarLike) -> "AlgebraElement":
-        c = GaussianRational.coerce(factor)
-        return AlgebraElement(
-            self.quiver, {p: c * v for p, v in self.terms.items()}
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self.scale(other)
-        if not isinstance(other, AlgebraElement) or other.quiver != self.quiver:
-            return NotImplemented
-        out: Dict[Path, GaussianRational] = {}
-        for p, cp in self.terms.items():
-            for q, cq in other.terms.items():
-                pq = p.compose(q)
-                if pq is None:
-                    continue
-                out[pq] = out.get(pq, GaussianRational(0)) + cp * cq
-        return AlgebraElement(self.quiver, out)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        if not self.terms:
-            return "AlgebraElement(0)"
-        bits = [f"{coeff!r}*{'.'.join(p.arrows) or p.source}" for p, coeff in self.items()]
-        return "AlgebraElement(" + " + ".join(bits) + ")"
 
 
 Word = Tuple[str, ...]
@@ -326,14 +215,16 @@ def conifold_potential() -> CyclicPotential:
     )
 
 
-def _cyclic_derivatives(potential: CyclicPotential) -> Dict[str, Dict[Word, Fraction]]:
-    """The nonzero cyclic derivative by each arrow, in label order.
+def jacobi_generators(potential: CyclicPotential) -> Dict[str, Dict[Word, Fraction]]:
+    """The Jacobi relations: the nonzero cyclic derivative by each arrow, in label order.
 
     The derivative by x maps each path w such that x.w is a rotation of a
     stored word to its coefficient, in (length, word) order of w.  The n
     rotations of a word of length n and period d repeat each of its d
     distinct rotations n/d times, so each path gets c*n/d, c the word's
     coefficient.  Since x.w fixes the cycle, no path comes from two words.
+    Each path w runs from target(x) back to source(x); for a loop x it
+    may be the empty word.
     """
     by_arrow: Dict[str, list] = {}
     for word, coeff in potential.terms.items():
@@ -349,28 +240,6 @@ def _cyclic_derivatives(potential: CyclicPotential) -> Dict[str, Dict[Word, Frac
         arrow: {path: c for _, path, c in sorted(by_arrow[arrow])}
         for arrow in sorted(by_arrow)
     }
-
-
-def _derivative_element(quiver: Quiver, arrow: str, derivative: Mapping[Word, Fraction]) -> AlgebraElement:
-    # each path runs from target(arrow) back to source(arrow); the empty
-    # path of a loop is the unit there
-    src, tgt = quiver.target(arrow), quiver.source(arrow)
-    return AlgebraElement(quiver, {Path(path, src, tgt): c for path, c in derivative.items()})
-
-
-def partial_derivative(potential: CyclicPotential, arrow: str) -> AlgebraElement:
-    """Cyclic derivative: rotate each cycle to start with ``arrow``, strip it."""
-    quiver = potential.quiver
-    quiver._arrow(arrow)  # validates the label
-    return _derivative_element(quiver, arrow, _cyclic_derivatives(potential).get(arrow, {}))
-
-
-def jacobi_generators(potential: CyclicPotential) -> Tuple[AlgebraElement, ...]:
-    """Nonzero cyclic derivatives of the potential, in arrow label order."""
-    return tuple(
-        _derivative_element(potential.quiver, arrow, derivative)
-        for arrow, derivative in _cyclic_derivatives(potential).items()
-    )
 
 
 def enumerate_paths(quiver: Quiver, source: str, target: str, length: int):
@@ -419,7 +288,7 @@ def graded_dimension(
             len(next(iter(derivative))),
             [(path, GaussianRational(c)) for path, c in derivative.items()],
         )
-        for arrow, derivative in _cyclic_derivatives(potential).items()
+        for arrow, derivative in jacobi_generators(potential).items()
     ]
 
     dims = []

@@ -1,11 +1,15 @@
 """Every public name resolves, so a removed name fails here first.
 
-Besides ``ncmoduli.__all__``, the benchmark in ``perfbench/`` reaches a
-few names through the submodules; those are listed here too.  The
-package loads each submodule on first use; the last tests pin that in a
-fresh interpreter.
+Besides ``ncmoduli.__all__``, the benchmark in ``perfbench/`` reaches
+names on the package object, as ``nc.<name>`` or ``self.nc.<name>``,
+some of them only in traced runs; an ``ast`` walk of its sources checks
+each such attribute chain.  The few names it reaches through a submodule
+import are listed here.  The package loads each submodule on first use;
+the last tests pin that in a fresh interpreter.
 """
 
+import ast
+import functools
 import importlib
 import json
 import os
@@ -17,14 +21,38 @@ import pytest
 
 import ncmoduli
 
+ROOT = Path(__file__).resolve().parent.parent
+
 SUBMODULE_NAMES = (
-    "quintuple.geometricity_minors",
-    "elliptic.random_configuration",
-    "elliptic.LAMBDA_WORDS",
     "acceptance.CRITERIA",
     "acceptance._TIME_BUDGETS",
     "cli.potential_from_json",
 )
+
+
+def _package_chain(node):
+    """The names read after ``nc`` or ``self.nc`` in an attribute chain, else None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    names.reverse()
+    if isinstance(node, ast.Name) and node.id == "self" and names[:1] == ["nc"]:
+        names = names[1:]
+    elif not (isinstance(node, ast.Name) and node.id == "nc"):
+        return None
+    return tuple(names) or None
+
+
+def benchmark_chains(paths):
+    """Each attribute chain on the package object in the given sources, prefixes too."""
+    chains = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            chain = _package_chain(node)
+            if chain:
+                chains.add(chain)
+    return chains
 
 
 def test_all_names_resolve():
@@ -38,7 +66,21 @@ def test_benchmark_submodule_names_resolve():
         module, name = dotted.split(".")
         if not hasattr(getattr(ncmoduli, module, None), name):
             missing.append(dotted)
+    chains = benchmark_chains(sorted((ROOT / "perfbench").glob("*.py")))
+    # the traced probes read these; a walk that misses them sees nothing
+    assert {("jacobi_generators",), ("quintuple", "geometricity_minors"), ("DomainError",)} <= chains
+    for chain in sorted(chains):
+        try:
+            functools.reduce(getattr, chain, ncmoduli)
+        except AttributeError:
+            missing.append(".".join(chain))
     assert missing == []
+
+
+def test_the_chain_walk_reads_nc_and_self_nc(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text("nc.a.b(1)\nself.nc.c\nx = self.nc\nother.d\nnc.e().f\nself.g.nc\n")
+    assert benchmark_chains([source]) == {("a",), ("a", "b"), ("c",), ("e",)}
 
 
 def test_each_name_is_its_home_module_object():

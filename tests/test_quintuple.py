@@ -231,6 +231,19 @@ def test_weighted_point_equality_rules():
         WeightedPoint(w, tuple(GaussianRational(0) for _ in range(4)))
 
 
+@pytest.mark.parametrize(
+    "weights",
+    [(0, 0), (1, -1), (2, 0), (2, 1.5), (2, True), (2, "4")],
+    ids=["zeros", "negative", "one-zero", "float", "bool", "string"],
+)
+def test_weighted_point_refuses_weights_that_are_not_positive_ints(weights):
+    # weighted_point_equal divides by the gcd of the weights, and a
+    # negative weight gives no projective space
+    with pytest.raises(ValueError, match="are not all ints of at least 1"):
+        WeightedPoint(weights, (1, 1))
+    assert WeightedPoint((1, 2), (1, 1)).weights == (1, 2)
+
+
 def test_weighted_point_equality_is_exact_across_weights():
     w = (2, 4, 4, 6)
     ones = WeightedPoint(w, (1, 1, 1, 1))

@@ -1,15 +1,14 @@
-"""Path algebra, cyclic potentials, derivatives, and graded dimensions."""
+"""Paths, cyclic potentials, their Jacobi relations, and graded dimensions."""
 
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
 
 from ncmoduli.errors import DomainError
-from ncmoduli.exact import GaussianRational
 from ncmoduli.quiver import (
     MAX_GRADED_LENGTH,
-    AlgebraElement,
     CyclicPotential,
     conifold_potential,
     conifold_quiver,
@@ -18,15 +17,10 @@ from ncmoduli.quiver import (
     framed_conifold_quiver,
     graded_dimension,
     jacobi_generators,
-    partial_derivative,
     potential_double_cover,
 )
 
 Q = conifold_quiver()
-
-
-def _elem(labels, coeff=1):
-    return AlgebraElement(Q, {Q.path(labels): coeff})
 
 
 def test_quiver_shapes():
@@ -40,49 +34,35 @@ def test_quiver_shapes():
     assert framed.source("i") == "vinf" and framed.target("i") == "v0"
 
 
-def test_path_composition_rules():
-    ab = Q.path(["b1", "a1"])
-    assert ab.source == "v0" and ab.target == "v0" and ab.length == 2
-    with pytest.raises(DomainError):
-        Q.path(["a1", "a2"])  # a after a cannot compose
-    with pytest.raises(DomainError):
-        Q.path(["nope"])
-    unit = Q.unit("v0")
-    assert unit.compose(unit) == unit
-    assert ab.compose(unit) == ab
-    assert unit.compose(ab) == ab
+def _composable_words(quiver, source, target, length):
+    """By brute force: every label word of the length that composes from source to target.
+
+    Words are leftmost-first, so the rightmost label is applied first and
+    each label's source is the target of the label to its right.
+    """
+    ends = {label: (src, tgt) for label, src, tgt in quiver.arrows}
+    words = set()
+    for word in product(sorted(ends), repeat=length):
+        if not word:
+            if source == target:
+                words.add(word)
+            continue
+        composes = all(ends[left][0] == ends[right][1] for left, right in zip(word, word[1:]))
+        if composes and ends[word[-1]][0] == source and ends[word[0]][1] == target:
+            words.add(word)
+    return words
 
 
-def test_algebra_element_products():
-    a1 = _elem(["a1"])
-    a2 = _elem(["a2"])
-    b1 = _elem(["b1"])
-    assert (a1 * a2).is_zero()  # endpoints mismatch kills the product
-    assert (b1 * a1) == _elem(["b1", "a1"])
-    x = a1 + a2.scale(2)
-    y = b1
-    assert (y * x) == _elem(["b1", "a1"]) + _elem(["b1", "a2"], 2)
-
-
-def test_algebra_element_associativity_random():
-    rng = Random(7)
-    labels = Q.arrow_labels()
-    units = [AlgebraElement(Q, {Q.unit(v): 1}) for v in Q.vertices]
-
-    def rand_elem():
-        out = AlgebraElement(Q, {})
-        for _ in range(rng.randint(1, 3)):
-            out = out + AlgebraElement(
-                Q, {Q.path([rng.choice(labels)]): GaussianRational(rng.randint(-3, 3))}
-            )
-        return out
-
-    for _ in range(30):
-        x, y, z = rand_elem(), rand_elem(), rand_elem()
-        assert (x * y) * z == x * (y * z)
-    one = units[0] + units[1]
-    x = rand_elem()
-    assert one * x == x and x * one == x
+@pytest.mark.parametrize("quiver", [conifold_quiver(), framed_conifold_quiver()], ids=["conifold", "framed"])
+def test_enumerate_paths_yields_exactly_the_composable_words(quiver):
+    for source, target in product(quiver.vertices, repeat=2):
+        for length in range(5):
+            paths = list(enumerate_paths(quiver, source, target, length))
+            assert len(paths) == len(set(paths))
+            assert set(paths) == _composable_words(quiver, source, target, length), (source, target, length)
+    # a after a cannot compose, b after a can
+    words = {w for s, t in product(Q.vertices, repeat=2) for w in enumerate_paths(Q, s, t, 2)}
+    assert ("a1", "a2") not in words and ("b1", "a1") in words and len(words) == 8
 
 
 def test_cyclic_potential_canonicalizes_rotations():
@@ -97,14 +77,17 @@ def test_cyclic_potential_canonicalizes_rotations():
         CyclicPotential(Q, {("a1", "a2", "b1", "b2"): Fraction(1)})
     with pytest.raises(DomainError):
         CyclicPotential(Q, {("a1", "b1", "a1"): Fraction(1)})  # does not close up
+    for word in (("c9",), ("a1", "c9")):
+        with pytest.raises(DomainError, match="unknown arrow 'c9' in quiver conifold"):
+            CyclicPotential(Q, {word: Fraction(1)})
 
 
 def _rotations(potential):
     """Each word (arrow,) + path read off the derivatives, with its coefficient."""
     return {
-        (arrow,) + path.arrows: coeff
-        for arrow in potential.quiver.arrow_labels()
-        for path, coeff in partial_derivative(potential, arrow).items()
+        (arrow,) + path: coeff
+        for arrow, derivative in jacobi_generators(potential).items()
+        for path, coeff in derivative.items()
     }
 
 
@@ -116,34 +99,36 @@ def test_derivatives_handle_rotational_symmetry():
     }
 
 
+CONIFOLD_TABLE = {
+    "a1": {("b1", "a2", "b2"): 1, ("b2", "a2", "b1"): -1},
+    "a2": {("b1", "a1", "b2"): -1, ("b2", "a1", "b1"): 1},
+    "b1": {("a1", "b2", "a2"): -1, ("a2", "b2", "a1"): 1},
+    "b2": {("a1", "b1", "a2"): 1, ("a2", "b1", "a1"): -1},
+}
+
+
 def test_conifold_potential_derivatives():
-    phi = conifold_potential()
-    d_a1 = partial_derivative(phi, "a1")
-    expected = _elem(["b1", "a2", "b2"]) + _elem(["b2", "a2", "b1"], -1)
-    assert d_a1 == expected
-    d_b2 = partial_derivative(phi, "b2")
-    assert d_b2 == _elem(["a1", "b1", "a2"]) + _elem(["a2", "b1", "a1"], -1)
-    with pytest.raises(DomainError):
-        partial_derivative(phi, "c9")
+    table = jacobi_generators(conifold_potential())
+    # in label order, each derivative in (length, word) order, Fraction coefficients
+    assert [(arrow, list(d.items())) for arrow, d in table.items()] == [
+        (arrow, list(d.items())) for arrow, d in CONIFOLD_TABLE.items()
+    ]
+    assert all(type(c) is Fraction for d in table.values() for c in d.values())
 
 
 def test_square_word_derivative_doubles():
     square = CyclicPotential(Q, {("a1", "b1", "a1", "b1"): Fraction(1)})
-    d = partial_derivative(square, "a1")
-    assert d == _elem(["b1", "a1", "b1"], 2)
-    assert partial_derivative(square, "a2").is_zero()
+    assert jacobi_generators(square) == {"a1": {("b1", "a1", "b1"): 2}, "b1": {("a1", "b1", "a1"): 2}}
 
 
 def test_jacobi_generators_order_and_degrees():
-    gens = jacobi_generators(conifold_potential())
-    assert len(gens) == 4
-    for g in gens:
-        for path, _ in g.items():
-            assert path.length == 3
-    # sorted by arrow label: derivatives by a1, a2, b1, b2
-    first_paths = [g.items()[0][0].arrows for g in gens]
-    assert first_paths[0][0].startswith("b") and first_paths[2][0].startswith("a")
-    assert jacobi_generators(CyclicPotential(Q, {})) == ()
+    table = jacobi_generators(conifold_potential())
+    assert list(table) == ["a1", "a2", "b1", "b2"]
+    for arrow, derivative in table.items():
+        # each path runs from the arrow's target back to its source
+        back = set(enumerate_paths(Q, Q.target(arrow), Q.source(arrow), 3))
+        assert derivative and set(derivative) <= back
+    assert jacobi_generators(CyclicPotential(Q, {})) == {}
 
 
 # periodic words: (a1 b1)^2, (a1 b1)^3 and (a1 b1 a2 b2)^2
@@ -176,15 +161,15 @@ def test_derivative_multiplicities_match_letter_counts():
                 if exps[k]:
                     key = tuple(e - (j == k) for j, e in enumerate(exps))
                     want[x][key] = want[x].get(key, 0) + c * exps[k]
+        table = jacobi_generators(potential)
         for x in labels:
             image = {}
-            for path, coeff in partial_derivative(potential, x).items():
-                key = tuple(path.arrows.count(y) for y in labels)
-                image[key] = image.get(key, 0) + coeff.as_fraction()
+            for path, coeff in table.get(x, {}).items():
+                key = tuple(path.count(y) for y in labels)
+                image[key] = image.get(key, 0) + coeff
             assert {k: v for k, v in image.items() if v} == {k: v for k, v in want[x].items() if v}
-        assert jacobi_generators(potential) == tuple(
-            d for d in (partial_derivative(potential, x) for x in sorted(labels)) if not d.is_zero()
-        )
+        # nonzero derivatives only, in label order
+        assert list(table) == sorted(table) and all(table.values())
         # each distinct rotation of a word of length n with d of them gets c * n / d
         expected = {}
         for word, c in potential.terms.items():
