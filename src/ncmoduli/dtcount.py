@@ -18,12 +18,14 @@ StabilityParameter holds one verdict per zero pattern (32 of them).
 framed-chamber check, which ``count_points`` and ``counting_report`` run
 before any count.  The relations are the table of
 ``quiver.jacobi_generators``, built once per call: each path becomes
-the monomial of its arrow counts, giving commuting polynomials mod p.
-The count walks the (a1, a2) slices: a slice on which every relation
-vanishes adds its stable points in closed form, and any other slice is
-enumerated point by point over (b1, b2), so potentials whose relations
-cut out a proper subset still cost O(p^4).  Primes above
-``MAX_COUNT_PRIME`` are refused before any enumeration.
+the monomial of its arrow counts, giving commuting polynomials mod p,
+grouped by their (b1, b2) monomial.  The one helper ``_on_slice``
+substitutes an (a1, a2) slice into them, for ``satisfies_relations`` and
+for the count, which walks the slices: a slice where every relation
+vanishes adds its stable points in closed form, and on any other slice
+each stable point evaluates only the slice's polynomials in (b1, b2), so
+potentials whose relations cut out a proper subset still cost O(p^4).
+Primes above ``MAX_COUNT_PRIME`` are refused before any enumeration.
 """
 
 from __future__ import annotations
@@ -121,13 +123,19 @@ def _conifold_table(potential: CyclicPotential) -> _Table:
     return jacobi_generators(potential)
 
 
-def _commuting_relations(table: _Table, p: int) -> List[Dict[Tuple[int, ...], int]]:
+#: A relation compiled for the slices: for each (b1, b2) monomial, as
+#: (e3, e4, terms), the terms (a1 exponent, a2 exponent, coeff) of its coefficient.
+_Relation = List[Tuple[int, int, List[Tuple[int, int, int]]]]
+
+
+def _commuting_relations(table: _Table, p: int) -> List[_Relation]:
     """The Jacobi relations at dimension (1, 1, 1) as commuting polynomials mod p.
 
     Scalars commute, so each path of a cyclic derivative evaluates to the
-    monomial of its arrow counts.  Each relation maps an exponent vector
-    over ``ARROW_ORDER`` to its coefficient mod p; terms that cancel mod p
-    are dropped, and so are relations that vanish identically.
+    monomial of its arrow counts.  Each relation is grouped by its (b1, b2)
+    monomial, as ``_Relation`` terms with coefficients mod p, for
+    ``_on_slice`` to substitute (a1, a2); terms that cancel mod p are
+    dropped, and so are relations that vanish identically.
 
     Raises DomainError when p is not prime, or when a coefficient of a
     derivative path has a denominator divisible by p, since the relation
@@ -149,30 +157,45 @@ def _commuting_relations(table: _Table, p: int) -> List[Dict[Tuple[int, ...], in
                     raise DomainError(f"coefficient {coeff} is not defined in characteristic {p}")
                 inverses[den] = pow(den, -1, p)
             key = (path.count(a1), path.count(a2), path.count(b1), path.count(b2))
-            relation[key] = relation.get(key, 0) + coeff.numerator * inverses[den]
-        relation = {e: c % p for e, c in relation.items() if c % p}
-        if relation:
-            relations.append(relation)
+            relation[key] = (relation.get(key, 0) + coeff.numerator * inverses[den]) % p
+        by_b: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
+        for (e1, e2, e3, e4), c in relation.items():
+            if c:
+                by_b.setdefault((e3, e4), []).append((e1, e2, c))
+        if by_b:
+            relations.append([(e3, e4, terms) for (e3, e4), terms in by_b.items()])
     return relations
 
 
-def _relations_hold(relations: List[Dict[Tuple[int, ...], int]], values: Tuple[int, ...], p: int) -> bool:
-    """Whether every relation vanishes at the scalars ``values`` over ``ARROW_ORDER``."""
+def _on_slice(relations: List[_Relation], a1: int, a2: int, p: int) -> List[List[Tuple[int, int, int]]]:
+    """The relations on the (a1, a2) slice, as polynomials in (b1, b2).
+
+    Returns each relation that does not vanish identically on the slice,
+    as its terms (coeff mod p, e3, e4); an empty list means that every
+    point of the slice satisfies the relations.
+    """
+    polys = []
     for relation in relations:
-        total = 0
-        for exps, c in relation.items():
-            for v, e in zip(values, exps):
-                c *= v ** e
-            total += c
-        if total % p:
-            return False
-    return True
+        terms = []
+        for e3, e4, a_terms in relation:
+            coeff = sum(c * a1 ** e1 * a2 ** e2 for e1, e2, c in a_terms) % p
+            if coeff:
+                terms.append((coeff, e3, e4))
+        if terms:
+            polys.append(terms)
+    return polys
+
+
+def _holds(polys: List[List[Tuple[int, int, int]]], b1: int, b2: int, p: int) -> bool:
+    """Whether every polynomial of ``_on_slice`` vanishes at (b1, b2)."""
+    return not any(sum(c * b1 ** e3 * b2 ** e4 for c, e3, e4 in terms) % p for terms in polys)
 
 
 def satisfies_relations(rep: FramedRep, potential: CyclicPotential) -> bool:
     """Evaluate every cyclic-derivative relation on the representation."""
-    values = tuple(getattr(rep, x).value for x in ARROW_ORDER)
-    return _relations_hold(_commuting_relations(_conifold_table(potential), rep.p), values, rep.p)
+    a1, a2, b1, b2 = (getattr(rep, x).value for x in ARROW_ORDER)
+    p = rep.p
+    return _holds(_on_slice(_commuting_relations(_conifold_table(potential), p), a1, a2, p), b1, b2, p)
 
 
 _FRAMED = framed_conifold_quiver()
@@ -223,7 +246,7 @@ def count_points(potential: CyclicPotential, theta: StabilityParameter, p: int) 
     order of the remaining free torus factor.  Primes above
     ``MAX_COUNT_PRIME`` are refused, since the cost grows as p^4.
     """
-    return _count_points(_conifold_table(potential), theta, p)
+    return _count_points(_conifold_table(potential), theta, index(p))  # index() refuses floats and strings
 
 
 def _count_points(table: _Table, theta: StabilityParameter, p: int) -> int:
@@ -234,15 +257,6 @@ def _count_points(table: _Table, theta: StabilityParameter, p: int) -> int:
     a1_bit, a2_bit, b1_bit, b2_bit, i_bit = (_BIT[x] for x in ARROW_ORDER + ("i",))
     stable = theta._stable_patterns
 
-    # the coefficient of each (b1, b2) monomial of each relation, as terms
-    # (a1 exponent, a2 exponent, coeff): every relation vanishes on an
-    # (a1, a2) slice exactly when all of these do
-    b_coefficients = []
-    for relation in relations:
-        by_b: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
-        for (e1, e2, e3, e4), c in relation.items():
-            by_b.setdefault((e3, e4), []).append((e1, e2, c))
-        b_coefficients.extend(by_b.values())
     # the stable points of an (a1, a2) slice on which every relation
     # vanishes, by the zero pattern of the slice
     whole_slice = [
@@ -261,16 +275,14 @@ def _count_points(table: _Table, theta: StabilityParameter, p: int) -> int:
             if a1 == 0 and a2 == 0:
                 continue
             a_mask = (a1_bit if a1 else 0) | (a2_bit if a2 else 0) | i_bit
-            if all(
-                sum(c * a1 ** e1 * a2 ** e2 for e1, e2, c in terms) % p == 0
-                for terms in b_coefficients
-            ):
+            polys = _on_slice(relations, a1, a2, p)
+            if not polys:
                 raw += whole_slice[a_mask]
                 continue
             for b1 in rng:
                 for b2 in rng:
                     mask = a_mask | (b1_bit if b1 else 0) | (b2_bit if b2 else 0)
-                    if stable[mask] and _relations_hold(relations, (a1, a2, b1, b2), p):
+                    if stable[mask] and _holds(polys, b1, b2, p):
                         raw += 1
     if raw % (p - 1) != 0:
         raise DomainError(

@@ -419,13 +419,14 @@ class PrimeFieldElement(_Record):
     It carries no arithmetic: the point counts work on ints, and
     ``dtcount.FramedRep`` reads ``value``.  It equals the ints congruent
     to it, so it keeps its own equality and hash; the record base makes
-    its fields read-only.  A value that is not an int (a float, say)
-    raises ``TypeError``.
+    its fields read-only.  A value or modulus that is not an int (a
+    float, say) raises ``TypeError``.
     """
 
     __slots__ = ("value", "p")
 
     def __init__(self, value: int, p: int):
+        p = index(p)
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self._assign(index(value) % p, p)

@@ -341,6 +341,29 @@ def test_count_points_matches_reference_brute_force():
                     assert count_points(potential, stability, p) == want, (potential, theta, p)
 
 
+def test_count_points_matches_reference_brute_force_at_eleven():
+    # the benchmark's largest prime, where most (a1, a2) slices are enumerated
+    theta = REFERENCE_THETAS[0]
+    stability = StabilityParameter.from_values(theta)
+    deformed = _diagonal_potential(Fraction(3, 2), -4, Fraction(9, 4), -6)
+    dense = _reference_potentials()[0]
+    assert _reference_count(deformed, theta, 11) == 12
+    for potential in (deformed, dense):
+        assert count_points(potential, stability, 11) == _reference_count(potential, theta, 11)
+
+
+def test_relations_are_substituted_once_per_slice(count_calls):
+    # each (a1, a2) slice substitutes into the relations once, whether it
+    # is then taken whole or enumerated over (b1, b2)
+    dense = _reference_potentials()[0]
+    calls = count_calls(dtcount, "_on_slice")
+    count_points(dense, default_stability(), 11)
+    assert len(calls) == 11 ** 2 - 1
+    del calls[:]
+    satisfies_relations(FramedRep.from_ints(11, 3, 5, 7, 2, 1), dense)
+    assert len(calls) == 1
+
+
 def test_satisfies_relations_matches_reference_words():
     rng = Random(5)
     for potential in _reference_potentials():

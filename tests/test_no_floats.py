@@ -6,8 +6,8 @@ or ``complex(...)`` call, or an import of ``cmath``.  ``acceptance.py`` is
 exempt: its time budgets and measured seconds are floats.  Nor does a
 float or a string get in through an argument: every entry point that
 takes a rational accepts an int or a ``Fraction`` and raises
-``TypeError`` for anything else, and ``counting_report`` and the
-prime-field scalars take ints.
+``TypeError`` for anything else, and ``counting_report``, ``count_points``
+and the prime-field scalars and their modulus take ints.
 """
 
 import ast
@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import ncmoduli
-from ncmoduli.dtcount import FramedRep, StabilityParameter, counting_report, default_stability
+from ncmoduli.dtcount import FramedRep, StabilityParameter, count_points, counting_report, default_stability
 from ncmoduli.exact import GaussianRational, PrimeFieldElement
 from ncmoduli.potential import SymmetricPotentialMatrix, fiber_experiment
 from ncmoduli.quiver import CyclicPotential, conifold_potential, conifold_quiver
@@ -68,8 +68,11 @@ ENTRY_POINTS = {
     "StabilityParameter.from_values": lambda v: StabilityParameter.from_values((-1, -1, v)),
     "fiber_experiment": lambda v: fiber_experiment((1, 2, 3, v)),
     "counting_report": lambda v: counting_report(conifold_potential(), default_stability(), (2, 3, 5, v)),
+    "count_points": lambda v: count_points(conifold_potential(), default_stability(), v),
     "PrimeFieldElement": lambda v: PrimeFieldElement(v, 5),
+    "PrimeFieldElement.modulus": lambda v: PrimeFieldElement(3, v),
     "FramedRep.from_ints": lambda v: FramedRep.from_ints(5, v, 0, 0, 0, 1),
+    "FramedRep.from_ints.modulus": lambda v: FramedRep.from_ints(v, 1, 0, 0, 0, 1),
 }
 
 
@@ -77,8 +80,9 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 def test_entry_points_refuse_values_that_are_not_rational(name, bad):
     # each was once converted silently: a float to its binary Fraction,
-    # "1/3" by parsing, counting_report's 7.9 to the prime 7, and a float
-    # scalar of F_p was kept as it was
+    # "1/3" by parsing, counting_report's 7.9 to the prime 7, a float
+    # scalar of F_p was kept as it was, a float modulus such as 2.0 passed
+    # the primality test, and count_points refused 0.1 as "not prime"
     call = ENTRY_POINTS[name]
     call(7)
     with pytest.raises(TypeError):
