@@ -19,13 +19,16 @@ framed-chamber check, which ``count_points`` and ``counting_report`` run
 before any count.  The relations are the table of
 ``quiver.jacobi_generators``, built once per call: each path becomes
 the monomial of its arrow counts, giving commuting polynomials mod p,
-grouped by their (b1, b2) monomial.  The one helper ``_on_slice``
-substitutes an (a1, a2) slice into them, for ``satisfies_relations`` and
-for the count, which walks the slices: a slice where every relation
-vanishes adds its stable points in closed form, and on any other slice
-each stable point evaluates only the slice's polynomials in (b1, b2), so
+grouped by their (b1, b2) monomial.  The helper ``_on_slice``
+substitutes an (a1, a2) slice into them, and one evaluator,
+``_solutions``, filters a list of points (b1, b2) down to those where
+the slice's polynomials vanish, one polynomial at a time.
+``satisfies_relations`` hands it a one-point list; the count hands it
+each slice's stable points, listed once per zero pattern of (a1, a2),
+so a slice where every relation vanishes adds all of them, and
 potentials whose relations cut out a proper subset still cost O(p^4).
-Primes above ``MAX_COUNT_PRIME`` are refused before any enumeration.
+Primes above ``MAX_COUNT_PRIME`` are refused before any enumeration, and
+a coefficient with no value mod p in a frame that holds no table.
 """
 
 from __future__ import annotations
@@ -108,19 +111,19 @@ def default_stability() -> StabilityParameter:
     return StabilityParameter(Fraction(-1), Fraction(-1), Fraction(2))
 
 
-def _check_count_bound(p: int) -> None:
+def _check_count_prime(p: int) -> None:
     if p > MAX_COUNT_PRIME:
         raise DomainError(
             f"prime {p} exceeds the configured bound {MAX_COUNT_PRIME}; "
             "a point count enumerates p^4 representations"
         )
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
 
 
-def _conifold_table(potential: CyclicPotential) -> _Table:
-    """The ``jacobi_generators`` table of a conifold potential, which the relations read."""
+def _require_conifold(potential: CyclicPotential) -> None:
     if potential.quiver != conifold_quiver():
         raise DomainError("relations are defined for conifold potentials")
-    return jacobi_generators(potential)
 
 
 #: A relation compiled for the slices: for each (b1, b2) monomial, as
@@ -128,23 +131,22 @@ def _conifold_table(potential: CyclicPotential) -> _Table:
 _Relation = List[Tuple[int, int, List[Tuple[int, int, int]]]]
 
 
-def _commuting_relations(table: _Table, p: int) -> List[_Relation]:
+def _commuting_relations(table: _Table, p: int) -> Tuple[List[_Relation], Optional[Fraction]]:
     """The Jacobi relations at dimension (1, 1, 1) as commuting polynomials mod p.
 
     Scalars commute, so each path of a cyclic derivative evaluates to the
     monomial of its arrow counts.  Each relation is grouped by its (b1, b2)
     monomial, as ``_Relation`` terms with coefficients mod p, for
     ``_on_slice`` to substitute (a1, a2); terms that cancel mod p are
-    dropped, and so are relations that vanish identically.
+    dropped, and so are relations that vanish identically.  p is prime.
 
-    Raises DomainError when p is not prime, or when a coefficient of a
-    derivative path has a denominator divisible by p, since the relation
-    scheme itself degenerates there.  The message names the first such
-    coefficient in the order of ``jacobi_generators``, so it does not
-    depend on the order of the terms.
+    Returns the relations and None, or, where the relation scheme itself
+    degenerates, no relations and the first coefficient of a derivative
+    path whose denominator p divides, in the order of ``jacobi_generators``
+    whatever the order of the terms.  The caller refuses that with
+    ``_require_defined``, in a frame that holds no table, so a refusal
+    kept with its traceback keeps no table alive.
     """
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
     a1, a2, b1, b2 = ARROW_ORDER
     inverses: Dict[int, int] = {}  # each distinct denominator inverted once
     relations = []
@@ -154,7 +156,7 @@ def _commuting_relations(table: _Table, p: int) -> List[_Relation]:
             den = coeff.denominator
             if den not in inverses:
                 if den % p == 0:
-                    raise DomainError(f"coefficient {coeff} is not defined in characteristic {p}")
+                    return [], coeff
                 inverses[den] = pow(den, -1, p)
             key = (path.count(a1), path.count(a2), path.count(b1), path.count(b2))
             relation[key] = (relation.get(key, 0) + coeff.numerator * inverses[den]) % p
@@ -164,7 +166,12 @@ def _commuting_relations(table: _Table, p: int) -> List[_Relation]:
                 by_b.setdefault((e3, e4), []).append((e1, e2, c))
         if by_b:
             relations.append([(e3, e4, terms) for (e3, e4), terms in by_b.items()])
-    return relations
+    return relations, None
+
+
+def _require_defined(undefined: Optional[Fraction], p: int) -> None:
+    if undefined is not None:
+        raise DomainError(f"coefficient {undefined} is not defined in characteristic {p}")
 
 
 def _on_slice(relations: List[_Relation], a1: int, a2: int, p: int) -> List[List[Tuple[int, int, int]]]:
@@ -186,16 +193,28 @@ def _on_slice(relations: List[_Relation], a1: int, a2: int, p: int) -> List[List
     return polys
 
 
-def _holds(polys: List[List[Tuple[int, int, int]]], b1: int, b2: int, p: int) -> bool:
-    """Whether every polynomial of ``_on_slice`` vanishes at (b1, b2)."""
-    return not any(sum(c * b1 ** e3 * b2 ** e4 for c, e3, e4 in terms) % p for terms in polys)
+def _solutions(polys: List[List[Tuple[int, int, int]]], points: List[Tuple[int, int]],
+               p: int) -> List[Tuple[int, int]]:
+    """The points (b1, b2) of the list at which every polynomial of ``_on_slice`` vanishes.
+
+    Filters the list one polynomial at a time, those with the fewest terms
+    first, and stops once it is empty; with no polynomial it returns the list.
+    """
+    for terms in sorted(polys, key=len):
+        if not points:
+            break
+        points = [(b1, b2) for b1, b2 in points if not sum(c * b1 ** e3 * b2 ** e4 for c, e3, e4 in terms) % p]
+    return points
 
 
 def satisfies_relations(rep: FramedRep, potential: CyclicPotential) -> bool:
     """Evaluate every cyclic-derivative relation on the representation."""
     a1, a2, b1, b2 = (getattr(rep, x).value for x in ARROW_ORDER)
     p = rep.p
-    return _holds(_on_slice(_commuting_relations(_conifold_table(potential), p), a1, a2, p), b1, b2, p)
+    _require_conifold(potential)
+    relations, undefined = _commuting_relations(jacobi_generators(potential), p)
+    _require_defined(undefined, p)
+    return bool(_solutions(_on_slice(relations, a1, a2, p), [(b1, b2)], p))
 
 
 _FRAMED = framed_conifold_quiver()
@@ -246,44 +265,33 @@ def count_points(potential: CyclicPotential, theta: StabilityParameter, p: int) 
     order of the remaining free torus factor.  Primes above
     ``MAX_COUNT_PRIME`` are refused, since the cost grows as p^4.
     """
-    return _count_points(_conifold_table(potential), theta, index(p))  # index() refuses floats and strings
-
-
-def _count_points(table: _Table, theta: StabilityParameter, p: int) -> int:
-    """``count_points`` on the potential's cyclic-derivative table."""
+    _require_conifold(potential)
+    p = index(p)  # refuses floats and strings
     theta._require_framed_chamber()
-    _check_count_bound(p)
-    relations = _commuting_relations(table, p)
+    _check_count_prime(p)
+    # no local holds the table, so a kept refusal does not keep it alive
+    relations, undefined = _commuting_relations(jacobi_generators(potential), p)
+    _require_defined(undefined, p)
+    return _count_points(relations, theta, p)
+
+
+def _count_points(relations: List[_Relation], theta: StabilityParameter, p: int) -> int:
+    """``count_points`` on the compiled relations, once p and theta are checked."""
     a1_bit, a2_bit, b1_bit, b2_bit, i_bit = (_BIT[x] for x in ARROW_ORDER + ("i",))
     stable = theta._stable_patterns
-
-    # the stable points of an (a1, a2) slice on which every relation
-    # vanishes, by the zero pattern of the slice
-    whole_slice = [
-        sum(
-            (p - 1) ** (nz1 + nz2)
-            for nz1, nz2 in product((0, 1), repeat=2)
-            if stable[mask | nz1 * b1_bit | nz2 * b2_bit]
-        )
-        for mask in range(32)
-    ]
+    rng = range(p)
+    b_masks = [((b1, b2), (b1_bit if b1 else 0) | (b2_bit if b2 else 0)) for b1 in rng for b2 in rng]
+    stable_points: Dict[int, List[Tuple[int, int]]] = {}  # by the zero pattern of (a1, a2)
 
     raw = 0
-    rng = range(p)
     for a1 in rng:
         for a2 in rng:
             if a1 == 0 and a2 == 0:
                 continue
             a_mask = (a1_bit if a1 else 0) | (a2_bit if a2 else 0) | i_bit
-            polys = _on_slice(relations, a1, a2, p)
-            if not polys:
-                raw += whole_slice[a_mask]
-                continue
-            for b1 in rng:
-                for b2 in rng:
-                    mask = a_mask | (b1_bit if b1 else 0) | (b2_bit if b2 else 0)
-                    if stable[mask] and _holds(polys, b1, b2, p):
-                        raw += 1
+            if a_mask not in stable_points:
+                stable_points[a_mask] = [b for b, b_mask in b_masks if stable[a_mask | b_mask]]
+            raw += len(_solutions(_on_slice(relations, a1, a2, p), stable_points[a_mask], p))
     if raw % (p - 1) != 0:
         raise DomainError(
             f"residual torus action is not free at p = {p}; raw count {raw}"
@@ -356,15 +364,13 @@ def counting_report(
     if len(ps) < 4:
         raise DomainError("need at least four primes for a degree-3 fit")
     for p in ps:
-        _check_count_bound(p)
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
+        _check_count_prime(p)
 
-    table = _conifold_table(potential)
+    _require_conifold(potential)
+    table = jacobi_generators(potential)
     excluded = _degenerate_primes(table, ps)
-    # the relations are undefined mod p exactly when p divides a denominator
-    denominators = {c.denominator for d in table.values() for c in d.values()}
-    counts = {p: _count_points(table, theta, p) for p in ps if all(v % p for v in denominators)}
+    compiled = {p: _commuting_relations(table, p) for p in ps}
+    counts = {p: _count_points(relations, theta, p) for p, (relations, bad) in compiled.items() if bad is None}
     included = [p for p in ps if p not in excluded]
 
     polynomial = None

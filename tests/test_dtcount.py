@@ -1,5 +1,6 @@
 """Finite-field counting of framed conifold representations."""
 
+import traceback
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -26,6 +27,7 @@ from ncmoduli.quiver import (
     CyclicPotential,
     conifold_potential,
     conifold_quiver,
+    framed_conifold_quiver,
     jacobi_generators,
 )
 
@@ -240,7 +242,9 @@ def test_a_report_reads_the_relation_table_once(count_calls):
 REFERENCE_ARROWS = (
     ("a1", 0, 1), ("a2", 0, 1), ("b1", 1, 0), ("b2", 1, 0), ("i", 2, 0),
 )
-REFERENCE_THETAS = ((-1, -1, 2), (-2, -1, 3))
+# the first two keep every (b1, b2) stable; (-1, 0, 1) makes (b1, b2) = (0, 0)
+# unstable, so a slice's stable points are a proper subset of F_p^2
+REFERENCE_THETAS = ((-1, -1, 2), (-2, -1, 3), (-1, 0, 1))
 
 
 def _reference_stable(scalars, theta):
@@ -362,6 +366,84 @@ def test_relations_are_substituted_once_per_slice(count_calls):
     del calls[:]
     satisfies_relations(FramedRep.from_ints(11, 3, 5, 7, 2, 1), dense)
     assert len(calls) == 1
+
+
+def test_one_evaluator_filters_every_slice(count_calls):
+    # the count hands each slice's stable points to the evaluator, also
+    # on slices where every relation vanishes; a point test is a one-point list
+    dense = _reference_potentials()[0]
+    calls = count_calls(dtcount, "_solutions")
+    for potential in (dense, conifold_potential()):
+        del calls[:]
+        count_points(potential, default_stability(), 11)
+        assert len(calls) == 11 ** 2 - 1
+    # the classical relations vanish identically, so every slice is whole
+    assert all(not polys for polys, _, _ in calls)
+    del calls[:]
+    satisfies_relations(FramedRep.from_ints(11, 3, 5, 7, 2, 1), dense)
+    assert [points for _, points, _ in calls] == [[(7, 2)]]
+
+
+def _is_derivative_table(value):
+    return isinstance(value, dict) and bool(value) and all(isinstance(v, dict) for v in value.values())
+
+
+def test_a_refused_count_keeps_no_derivative_table():
+    # a caller may keep a refusal, and with it the frames of its traceback;
+    # none of them holds the table of jacobi_generators
+    fifth = _diagonal_potential(1, 2, 3, Fraction(1, 5))
+    assert _is_derivative_table(jacobi_generators(fifth))
+    for refuse in (
+        lambda: count_points(fifth, default_stability(), 5),
+        lambda: satisfies_relations(FramedRep.from_ints(5, 1, 1, 1, 1, 1), fifth),
+    ):
+        with pytest.raises(DomainError, match="not defined in characteristic 5") as info:
+            refuse()
+        frames = [frame for frame, _ in traceback.walk_tb(info.value.__traceback__)]
+        assert len(frames) > 1
+        for frame in frames:
+            assert not any(_is_derivative_table(v) for v in frame.f_locals.values()), frame.f_code.co_name
+
+
+def test_count_points_refuses_in_a_fixed_order():
+    # each case also breaks every rule after the one it names: 5 divides
+    # a denominator of the potential and every modulus below
+    framed = CyclicPotential(framed_conifold_quiver(), {("a1", "b1"): Fraction(1, 5)})
+    fifth = _diagonal_potential(1, 2, 3, Fraction(1, 5))
+    outside = StabilityParameter.from_values((-3, 1, 2))
+    theta = default_stability()
+    large = 5 * MAX_COUNT_PRIME
+    cases = (
+        (framed, outside, 2.5, "relations are defined for conifold potentials"),
+        (framed, outside, large, "relations are defined for conifold potentials"),
+        (fifth, outside, large, "stability parameter is outside the framed chamber"),
+        (fifth, theta, large,
+         f"prime {large} exceeds the configured bound {MAX_COUNT_PRIME}; a point count enumerates p^4 representations"),
+        (fifth, theta, 25, "25 is not prime"),
+        (fifth, theta, 5, "coefficient 2/5 is not defined in characteristic 5"),
+    )
+    for potential, stability, p, message in cases:
+        with pytest.raises(DomainError) as info:
+            count_points(potential, stability, p)
+        assert str(info.value) == message, (p, message)
+    # a modulus that is not an int is refused after the conifold check, before the stability
+    with pytest.raises(TypeError):
+        count_points(fifth, outside, 2.5)
+
+
+def test_satisfies_relations_refuses_in_a_fixed_order():
+    framed = CyclicPotential(framed_conifold_quiver(), {("a1", "b1"): Fraction(1, 5)})
+    fifth = _diagonal_potential(1, 2, 3, Fraction(1, 5))
+    rep = FramedRep.from_ints(5, 1, 1, 1, 1, 1)
+    with pytest.raises(DomainError) as info:
+        satisfies_relations(rep, framed)
+    assert str(info.value) == "relations are defined for conifold potentials"
+    # a representation over a modulus that is not prime is refused when it is built
+    with pytest.raises(ValueError, match="modulus 25 is not prime"):
+        FramedRep.from_ints(25, 1, 1, 1, 1, 1)
+    with pytest.raises(DomainError) as info:
+        satisfies_relations(rep, fifth)
+    assert str(info.value) == "coefficient 2/5 is not defined in characteristic 5"
 
 
 def test_satisfies_relations_matches_reference_words():
