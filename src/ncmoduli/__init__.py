@@ -46,7 +46,7 @@ _EXPORTS = {
     "elliptic": (
         "EllipticConfiguration", "EllPoint", "LambdaPair", "apply_group_element",
         "is_admissible", "make_configuration", "orbit_equivalent", "translate",
-        "two_torsion_points", "verify_equation_preservation",
+        "verify_equation_preservation",
     ),
     "dtcount": (
         "CountReport", "FramedRep", "StabilityParameter", "count_points",

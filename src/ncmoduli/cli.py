@@ -224,7 +224,7 @@ def _cmd_dt_count(args) -> int:
     theta_parts = args.theta.split(",")
     if len(theta_parts) != 3:
         raise SchemaError("theta needs three comma-separated rationals")
-    theta = StabilityParameter.from_values([_rational_literal(t) for t in theta_parts])
+    theta = StabilityParameter(*map(_rational_literal, theta_parts))
     report = counting_report(phi, theta, primes)
     _write_document(report.to_json(), args.output)
     return 0

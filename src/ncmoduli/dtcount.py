@@ -43,7 +43,7 @@ from .errors import DomainError
 from .exact import PrimeFieldElement, _Poly, _Record, _rational, fraction_str, is_prime
 from .quiver import CyclicPotential, conifold_quiver, framed_conifold_quiver, jacobi_generators
 
-ARROW_ORDER = ("a1", "a2", "b1", "b2")
+ARROW_ORDER = conifold_quiver().arrow_labels()
 
 #: The table of ``jacobi_generators``: arrow -> {path: coefficient}.
 _Table = Dict[str, Dict[Tuple[str, ...], Fraction]]
@@ -81,13 +81,6 @@ class StabilityParameter(_Record):
     def __init__(self, theta0: Fraction, theta1: Fraction, theta_inf: Fraction):
         theta = tuple(map(_rational, (theta0, theta1, theta_inf)))
         self._assign(*theta, _stability_table(theta))
-
-    @classmethod
-    def from_values(cls, values: Sequence) -> "StabilityParameter":
-        vals = list(values)
-        if len(vals) != 3:
-            raise DomainError("stability needs three weights")
-        return cls(*vals)
 
     def as_tuple(self):
         return (self.theta0, self.theta1, self.theta_inf)
@@ -332,15 +325,26 @@ class CountReport(_Record):
 
 
 def _degenerate_primes(table: _Table, primes: Sequence[int]) -> List[int]:
-    """Primes dividing any numerator or denominator of a cyclic-derivative table.
+    """Primes at which the commuting relations change shape.
 
-    In those characteristics the relation scheme changes shape, so the
-    counts are excluded from polynomial interpolation (they are still
-    computed and reported when the denominators survive).
+    The count reads each relation as a polynomial in the four scalars,
+    whose coefficients sum the path coefficients of one monomial, keyed
+    as in ``_commuting_relations``.  A prime is excluded when it divides
+    the denominator of a path coefficient, where the count is undefined,
+    or the numerator or the denominator of a nonzero monomial coefficient,
+    where a term vanishes mod p.  Counts at excluded primes are still
+    reported when defined, but they join no interpolation.
     """
-    # a prime divides the numerator or the denominator when it divides their product
-    products = {c.numerator * c.denominator for derivative in table.values() for c in derivative.values()}
-    return sorted({p for p in primes for v in products if v % p == 0})
+    values = set()
+    for derivative in table.values():
+        sums: Dict[Tuple[int, ...], Fraction] = {}
+        for path, c in derivative.items():
+            values.add(c.denominator)
+            key = tuple(map(path.count, ARROW_ORDER))
+            sums[key] = sums.get(key, 0) + c
+        # a prime divides the numerator or the denominator when it divides their product
+        values.update(c.numerator * c.denominator for c in sums.values() if c)
+    return sorted({p for p in primes for v in values if v % p == 0})
 
 
 def counting_report(
@@ -352,8 +356,8 @@ def counting_report(
 
     Needs at least four primes and a stability inside the framed chamber,
     both checked before any count.  Every prime that divides no relation
-    denominator is counted, and a refusal there is raised; primes where a
-    relation coefficient degenerates are excluded from the fit.  The fit
+    denominator is counted, and a refusal there is raised; the primes of
+    ``_degenerate_primes`` are excluded from the fit.  The fit
     is Lagrange's formula, a one-variable ``_Poly`` through the first four
     included primes, checked at every included prime; when a check fails
     no polynomial is reported.  The Euler characteristic is the fit evaluated at 1, and

@@ -126,16 +126,6 @@ def on_curve(lam: LambdaPair, pt: EllPoint) -> bool:
     return pt.z * pt.z == curve_rhs(lam.l0, lam.l1, pt.x, pt.y)
 
 
-def two_torsion_points(lam: LambdaPair) -> Tuple[EllPoint, ...]:
-    """The four Z = 0 points: the branch locus of the double cover."""
-    return (
-        EllPoint.make(1, 0, 0),
-        EllPoint.make(0, 1, 0),
-        EllPoint.make(1, 1, 0),
-        EllPoint.make(lam.l0, lam.l1, 0),
-    )
-
-
 def _same_parameter(l0, l1):
     return l0, l1
 

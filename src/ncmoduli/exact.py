@@ -33,7 +33,7 @@ import sys
 from fractions import Fraction
 from math import gcd, isqrt
 from operator import attrgetter, index
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import DomainError, SchemaError
 
@@ -95,10 +95,6 @@ class GaussianRational:
         return Fraction(self._b, self._d)
 
     @staticmethod
-    def i() -> "GaussianRational":
-        return _gauss(0, 1, 1)
-
-    @staticmethod
     def coerce(value: ScalarLike) -> "GaussianRational":
         return value if isinstance(value, GaussianRational) else GaussianRational(value)
 
@@ -138,14 +134,6 @@ class GaussianRational:
 
     def __neg__(self):
         return _gauss(-self._a, -self._b, self._d)
-
-    def conjugate(self) -> "GaussianRational":
-        return _gauss(self._a, -self._b, self._d)
-
-    def norm(self) -> Fraction:
-        """The field norm a^2 + b^2, a non-negative rational."""
-        a, b, d = self._a, self._b, self._d
-        return Fraction(a * a + b * b, d * d)
 
     def inverse(self) -> "GaussianRational":
         a, b, d = self._a, self._b, self._d
@@ -307,7 +295,7 @@ def _quotient(num, den) -> GaussianRational:
     return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * n)
 
 
-GAUSSIAN_I = GaussianRational.i()
+GAUSSIAN_I = _gauss(0, 1, 1)
 _ZERO = GaussianRational(0)
 
 
@@ -508,10 +496,6 @@ class ExactMatrix(_Record):
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[1 if r == c else 0 for c in range(n)] for r in range(n)])
 
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "ExactMatrix":
-        return cls([[0] * ncols for _ in range(nrows)])
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -539,23 +523,6 @@ class ExactMatrix(_Record):
         c = GaussianRational.coerce(factor)
         return ExactMatrix([[c * e for e in row] for row in self.rows])
 
-    def __add__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch in matrix addition")
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self + other.scale(-1)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
@@ -567,11 +534,6 @@ class ExactMatrix(_Record):
         return ExactMatrix._wrap(
             tuple(tuple(_dot(row, col) for col in cols) for row in self.rows)
         )
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self.scale(other)
-        return NotImplemented
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """The Kronecker product: row (i, j), column (k, l) holds self[i, k] * other[j, l]."""
@@ -657,9 +619,6 @@ class ExactMatrix(_Record):
             raise ValueError("nilpotency of a non-square matrix")
         return all(t.is_zero() for t in self.power_traces(self.nrows))
 
-    def to_json(self):
-        return [[scalar_to_json(e) for e in row] for row in self.rows]
-
 
 # -- binary forms -----------------------------------------------------
 
@@ -731,6 +690,8 @@ def binary_form_gcd(forms: Iterable[Sequence[ScalarLike]]) -> Tuple[GaussianRati
 #: Bits per exponent in a ``_Poly`` monomial key; the proofs have degree at most 11.
 _EXPONENT_BITS = 8
 _EXPONENT_MASK = (1 << _EXPONENT_BITS) - 1
+#: The scalars a ``_Poly`` takes as coefficients and operands.
+_SCALAR_TYPES = (int, Fraction, GaussianRational)
 
 
 class _Poly:
@@ -741,7 +702,7 @@ class _Poly:
     sits in bits 8v to 8v + 7 of the key, so multiplying monomials adds
     keys.  Coefficients are int, ``Fraction`` or ``GaussianRational``
     values, and such a scalar may stand on either side of + - * and
-    compare equal to a constant polynomial.
+    compare equal to a constant polynomial; any other operand is refused.
     """
 
     __slots__ = ("terms",)
@@ -755,12 +716,18 @@ class _Poly:
         return [cls({1 << (_EXPONENT_BITS * v): 1}) for v in range(count)]
 
     @staticmethod
-    def _lift(value) -> "_Poly":
-        return value if isinstance(value, _Poly) else _Poly({0: value})
+    def _lift(value) -> Optional["_Poly"]:
+        """A polynomial or a scalar as a polynomial; None for any other value."""
+        if isinstance(value, _Poly):
+            return value
+        return _Poly({0: value}) if isinstance(value, _SCALAR_TYPES) else None
 
     def __add__(self, other):
+        other = _Poly._lift(other)
+        if other is None:
+            return NotImplemented
         out = dict(self.terms)
-        for m, c in _Poly._lift(other).terms.items():
+        for m, c in other.terms.items():
             out[m] = out[m] + c if m in out else c
         return _Poly(out)
 
@@ -770,14 +737,18 @@ class _Poly:
         return _Poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + -_Poly._lift(other)
+        other = _Poly._lift(other)
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other):
-        return -self + other
+        other = _Poly._lift(other)
+        return NotImplemented if other is None else other + -self
 
     def __mul__(self, other):
-        if not isinstance(other, _Poly):
+        if isinstance(other, _SCALAR_TYPES):
             return _Poly({m: c * other for m, c in self.terms.items()})
+        if not isinstance(other, _Poly):
+            return NotImplemented
         out: Dict[int, ScalarLike] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
@@ -791,7 +762,8 @@ class _Poly:
         return self * Fraction(1, k)
 
     def __eq__(self, other):
-        return self.terms == _Poly._lift(other).terms
+        other = _Poly._lift(other)
+        return NotImplemented if other is None else self.terms == other.terms
 
     def __bool__(self):
         return bool(self.terms)

@@ -88,10 +88,6 @@ class Quintuple(_Record):
     def scale(self, factor: ScalarLike) -> "Quintuple":
         return Quintuple.from_matrix(self.m.scale(factor))
 
-    def flatten(self) -> ExactMatrix:
-        """The 4x4 matrix M with M[(ij)][(kl)] = w[i][j][k][l]."""
-        return self.m
-
     @classmethod
     def from_matrix(cls, m: ExactMatrix) -> "Quintuple":
         if (m.nrows, m.ncols) != (4, 4):
@@ -154,7 +150,7 @@ class QuintupleInvariants(_Record):
 
 def pairing_matrix(q: Quintuple) -> ExactMatrix:
     """A = M^T J M J for the flattening M of the tensor."""
-    m = q.flatten()
+    m = q.m
     return m.transpose() * J_MATRIX * m * J_MATRIX
 
 
@@ -163,7 +159,7 @@ def invariants(q: Quintuple) -> QuintupleInvariants:
     if q.is_zero():
         raise DomainError("invariants of the zero tensor are not defined")
     f2, f4, f6 = pairing_matrix(q).power_traces(3)
-    return QuintupleInvariants(f2=f2, f4=f4, g4=q.flatten().det(), f6=f6)
+    return QuintupleInvariants(f2=f2, f4=f4, g4=q.m.det(), f6=f6)
 
 
 def classify_stability(q: Quintuple) -> str:
@@ -177,7 +173,7 @@ def classify_stability(q: Quintuple) -> str:
     tr A^2, tr A^3 by Newton's identities, so A is nilpotent exactly
     when every invariant vanishes.  Only then are the invariants formed.
     """
-    if not q.flatten().det().is_zero():
+    if not q.m.det().is_zero():
         return "stable"
     if invariants(q).all_zero():
         return "unstable"

@@ -113,14 +113,8 @@ def framed_conifold_quiver() -> Quiver:
     """Conifold quiver with a framing vertex and one arrow into v0."""
     return Quiver(
         name="framed-conifold",
-        vertices=("v0", "v1", "vinf"),
-        arrows=(
-            ("a1", "v0", "v1"),
-            ("a2", "v0", "v1"),
-            ("b1", "v1", "v0"),
-            ("b2", "v1", "v0"),
-            ("i", "vinf", "v0"),
-        ),
+        vertices=_CONIFOLD.vertices + ("vinf",),
+        arrows=_CONIFOLD.arrows + (("i", "vinf", "v0"),),
     )
 
 
@@ -176,12 +170,6 @@ class CyclicPotential(_Record):
                 clean[key] = merged
         self._assign(quiver, clean)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, word: Word) -> Fraction:
-        return self.terms.get(_canonical_rotation(tuple(word)), Fraction(0))
-
     def is_homogeneous(self) -> bool:
         lengths = {len(w) for w in self.terms}
         return len(lengths) <= 1
@@ -189,14 +177,6 @@ class CyclicPotential(_Record):
     def scale(self, factor: Union[int, Fraction]) -> "CyclicPotential":
         f = _rational(factor)
         return CyclicPotential(self.quiver, {w: f * c for w, c in self.terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, CyclicPotential) or other.quiver != self.quiver:
-            return NotImplemented
-        merged = dict(self.terms)
-        for word, coeff in other.terms.items():
-            merged[word] = merged.get(word, Fraction(0)) + coeff
-        return CyclicPotential(self.quiver, merged)
 
     def __repr__(self):
         bits = [f"{c}*{'.'.join(w)}" for w, c in sorted(self.terms.items())]

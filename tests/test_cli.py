@@ -306,6 +306,14 @@ def test_dt_count_needs_four_primes(tmp_path):
     assert main(["dt-count", "--potential", src, "--primes", "5"]) == 3
 
 
+def test_dt_count_needs_three_weights(tmp_path, capsys):
+    src = _write(tmp_path, "phi.json", CLASSICAL)
+    assert main(["dt-count", "--potential", src, "--primes", "2,3,5,7", "--theta", "1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: theta needs three comma-separated rationals\n"
+
+
 def test_dt_count_classical_report(tmp_path, capsys):
     src = _write(tmp_path, "phi.json", CLASSICAL)
     code, out = _run(

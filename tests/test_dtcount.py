@@ -85,8 +85,8 @@ def test_relations_undefined_in_bad_characteristic():
 
 
 def test_stability_parameter_validation():
-    with pytest.raises(DomainError):
-        StabilityParameter.from_values((1, -1))
+    with pytest.raises(TypeError):
+        StabilityParameter(1, -1)
     theta = default_stability()
     assert theta.as_tuple() == (Fraction(-1), Fraction(-1), Fraction(2))
 
@@ -142,7 +142,7 @@ def test_deformed_count_differs_from_classical():
 def test_count_rejects_theta_outside_framed_chamber():
     # with these weights a representation with zero source maps is stable,
     # so the framing gauge is invalid
-    theta = StabilityParameter.from_values((-3, 1, 2))
+    theta = StabilityParameter(-3, 1, 2)
     with pytest.raises(DomainError):
         count_points(conifold_potential(), theta, 3)
 
@@ -175,11 +175,12 @@ def test_report_excludes_degenerate_primes():
 
 
 def test_report_refuses_a_stability_outside_the_chamber_at_degenerate_primes():
-    # 2, 3, 5 and 7 all divide 210, so none joins the fit.  Times 210 each
-    # is still counted; over 210 none is, since each divides a denominator.
-    # The stability is refused either way, as it is for the unscaled potential.
+    # 2, 3, 5 and 7 all divide 210.  Times 210 the relations vanish over Q,
+    # so each is counted and none is excluded; over 210 none is counted,
+    # since each divides a denominator.  The stability is refused either
+    # way, as it is for the unscaled potential.
     terms = conifold_potential().terms
-    theta = StabilityParameter.from_values((-2, 1, 1))
+    theta = StabilityParameter(-2, 1, 1)
     for scale in (1, 210, Fraction(1, 210)):
         potential = CyclicPotential(conifold_quiver(), {w: scale * c for w, c in terms.items()})
         with pytest.raises(DomainError, match="outside the framed chamber"):
@@ -187,12 +188,47 @@ def test_report_refuses_a_stability_outside_the_chamber_at_degenerate_primes():
 
 
 def test_degenerate_primes_match_the_jacobi_generators():
+    # the count sums the coefficients of the paths of one commuting monomial,
+    # here keyed by the sorted labels of a path; a prime is degenerate when
+    # it divides a path denominator or a numerator or denominator of a nonzero sum
     primes = (2, 3, 5, 7, 11, 13)
+    per_path = 0
     for potential in _reference_potentials():
         table = jacobi_generators(potential)
         coeffs = [c for derivative in table.values() for c in derivative.values()]
-        want = sorted({p for c in coeffs for p in primes if c.numerator % p == 0 or c.denominator % p == 0})
+        sums = []
+        for derivative in table.values():
+            by_monomial = {}
+            for path, c in derivative.items():
+                key = tuple(sorted(path))
+                by_monomial[key] = by_monomial.get(key, 0) + c
+            sums += [c for c in by_monomial.values() if c]
+        want = sorted(
+            {p for c in coeffs for p in primes if c.denominator % p == 0}
+            | {p for c in sums for p in primes if c.numerator % p == 0 or c.denominator % p == 0}
+        )
         assert _degenerate_primes(table, primes) == want
+        per_path += want != sorted({p for c in coeffs for p in primes if c.numerator * c.denominator % p == 0})
+    # the rule that read each path coefficient alone differs on these
+    assert per_path == 5
+
+
+@pytest.mark.parametrize(
+    "coeff, primes, degenerate",
+    [(2, (3, 5, 7, 11, 13, 17), 3), (1, (2, 3, 5, 7, 11), 2)],
+    ids=["cancels-at-3", "cancels-at-2"],
+)
+def test_report_excludes_a_prime_where_the_relations_cancel(coeff, primes, degenerate):
+    # every relation of a1 b1 a2 b2 + coeff * a1 b2 a2 b1 is (1 + coeff)
+    # times one monomial, so where p divides 1 + coeff the count is
+    # p^2 (p + 1), the whole space, and no path coefficient shows it
+    potential = CyclicPotential(conifold_quiver(), {("a1", "b1", "a2", "b2"): 1, ("a1", "b2", "a2", "b1"): coeff})
+    report = counting_report(potential, default_stability(), primes)
+    assert report.excluded == (degenerate,)
+    assert report.counts[degenerate] == degenerate ** 2 * (degenerate + 1)
+    assert all(report.counts[p] == 5 * p - 3 for p in primes if p != degenerate)
+    assert report.polynomial == (-3, 5, 0, 0)
+    assert report.note == "cubic fit consistent across included primes"
 
 
 def test_report_unit_deformation_is_not_polynomial():
@@ -335,7 +371,7 @@ def _reference_potentials():
 def test_count_points_matches_reference_brute_force():
     for potential in _reference_potentials():
         for theta in REFERENCE_THETAS:
-            stability = StabilityParameter.from_values(theta)
+            stability = StabilityParameter(*theta)
             for p in (2, 3, 5, 7):
                 want = _reference_count(potential, theta, p)
                 if want is None:
@@ -348,7 +384,7 @@ def test_count_points_matches_reference_brute_force():
 def test_count_points_matches_reference_brute_force_at_eleven():
     # the benchmark's largest prime, where most (a1, a2) slices are enumerated
     theta = REFERENCE_THETAS[0]
-    stability = StabilityParameter.from_values(theta)
+    stability = StabilityParameter(*theta)
     deformed = _diagonal_potential(Fraction(3, 2), -4, Fraction(9, 4), -6)
     dense = _reference_potentials()[0]
     assert _reference_count(deformed, theta, 11) == 12
@@ -410,7 +446,7 @@ def test_count_points_refuses_in_a_fixed_order():
     # a denominator of the potential and every modulus below
     framed = CyclicPotential(framed_conifold_quiver(), {("a1", "b1"): Fraction(1, 5)})
     fifth = _diagonal_potential(1, 2, 3, Fraction(1, 5))
-    outside = StabilityParameter.from_values((-3, 1, 2))
+    outside = StabilityParameter(-3, 1, 2)
     theta = default_stability()
     large = 5 * MAX_COUNT_PRIME
     cases = (
@@ -483,7 +519,7 @@ def test_stability_table_matches_slope_rule():
     # (-1, 1, 0) and (0, 0, 0) put some subpattern exactly at the total slope
     others = ((-3, 1, 2), (1, 1, -2), (-1, 1, 0), (0, 0, 0), (Fraction(-1, 2), Fraction(-3, 2), 2))
     for theta in REFERENCE_THETAS + others:
-        stability = StabilityParameter.from_values(theta)
+        stability = StabilityParameter(*theta)
         for bits in product((0, 1), repeat=5):
             scalars = dict(zip(("a1", "a2", "b1", "b2", "i"), bits))
             rep = FramedRep.from_ints(2, *bits)

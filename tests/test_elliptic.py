@@ -23,7 +23,6 @@ from ncmoduli.elliptic import (
     random_configuration,
     random_curve_point,
     translate,
-    two_torsion_points,
     verify_equation_preservation,
 )
 
@@ -87,7 +86,9 @@ def test_two_torsion_lies_on_curve():
     for _ in range(10):
         lam, _ = random_curve_point(rng)
         pair = LambdaPair.from_affine(lam)
-        for pt in two_torsion_points(pair):
+        # the four Z = 0 points: the branch locus of the double cover
+        for pt in (EllPoint.make(1, 0, 0), EllPoint.make(0, 1, 0), EllPoint.make(1, 1, 0),
+                   EllPoint.make(pair.l0, pair.l1, 0)):
             assert on_curve(pair, pt)
             assert pt.z.is_zero()
 
@@ -115,8 +116,7 @@ def test_translations_are_involutions_and_compose():
 
 def test_translation_images_of_the_origin():
     pair = LambdaPair.from_affine(Fraction(7, 2))
-    origin = two_torsion_points(pair)[0]
-    assert origin == EllPoint.make(1, 0, 0)
+    origin = EllPoint.make(1, 0, 0)
     assert translate(pair, origin, "t1") == EllPoint.make(pair.l0, pair.l1, 0)
     assert translate(pair, origin, "t2") == EllPoint.make(1, 1, 0)
     assert translate(pair, origin, "t3") == EllPoint.make(0, 1, 0)
@@ -141,7 +141,7 @@ def test_symmetries_preserve_membership_with_pairs():
             assert on_curve(out.lam, out.p1), (word, tr1, tr2, flip)
             assert on_curve(out.lam, out.p2), (word, tr1, tr2, flip)
     pair = LambdaPair.from_affine(Fraction(3, 4))
-    torsion = EllipticConfiguration(pair, *two_torsion_points(pair)[:2])
+    torsion = EllipticConfiguration(pair, EllPoint.make(1, 0, 0), EllPoint.make(0, 1, 0))
     assert apply_group_element(torsion, ("swap",)).lam == LambdaPair(
         GaussianRational(1), GaussianRational(Fraction(3, 4))
     )

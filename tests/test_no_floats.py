@@ -65,7 +65,7 @@ ENTRY_POINTS = {
     "CyclicPotential": lambda v: CyclicPotential(conifold_quiver(), {("a1", "b1", "a2", "b2"): v}),
     "CyclicPotential.scale": lambda v: conifold_potential().scale(v),
     "StabilityParameter": lambda v: StabilityParameter(-1, -1, v),
-    "StabilityParameter.from_values": lambda v: StabilityParameter.from_values((-1, -1, v)),
+    "StabilityParameter.theta0": lambda v: StabilityParameter(v, -1, 2),
     "fiber_experiment": lambda v: fiber_experiment((1, 2, 3, v)),
     "counting_report": lambda v: counting_report(conifold_potential(), default_stability(), (2, 3, 5, v)),
     "count_points": lambda v: count_points(conifold_potential(), default_stability(), v),

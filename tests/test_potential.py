@@ -96,10 +96,12 @@ def test_diagonal_matrix_encodes_square_words():
         (Fraction(2), Fraction(3), Fraction(5), Fraction(7))
     )
     phi = sym_matrix_to_potential(n)
-    assert phi.coefficient(("a1", "b1", "a1", "b1")) == 2
-    assert phi.coefficient(("a1", "b2", "a1", "b2")) == 3
-    assert phi.coefficient(("a2", "b1", "a2", "b1")) == 5
-    assert phi.coefficient(("a2", "b2", "a2", "b2")) == 7
+    assert phi.terms == {
+        ("a1", "b1", "a1", "b1"): 2,
+        ("a1", "b2", "a1", "b2"): 3,
+        ("a2", "b1", "a2", "b1"): 5,
+        ("a2", "b2", "a2", "b2"): 7,
+    }
 
 
 def test_non_quartic_and_non_alternating_rejected():
@@ -250,7 +252,7 @@ def test_double_cover_lift_is_the_tensor():
     # both maps are linear in N, so the ten basis matrices prove it for every N
     for r, c in [(r, c) for r in range(4) for c in range(r, 4)]:
         n = SymmetricPotentialMatrix([[int((x, y) in ((r, c), (c, r))) for y in range(4)] for x in range(4)])
-        m = potential_to_quintuple(n).flatten()
+        m = potential_to_quintuple(n).m
         tensor = {
             (i, j, k, l): 2 * m[2 * i + j, 2 * k + l].as_fraction()
             for i in range(2) for j in range(2) for k in range(2) for l in range(2)

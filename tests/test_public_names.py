@@ -4,11 +4,15 @@ Besides ``ncmoduli.__all__``, the benchmark in ``perfbench/`` reaches
 names on the package object, as ``nc.<name>`` or ``self.nc.<name>``,
 some of them only in traced runs; an ``ast`` walk of its sources checks
 each such attribute chain.  The few names it reaches through a submodule
-import are listed here.  The package loads each submodule on first use;
-the last tests pin that in a fresh interpreter.
+import are listed here.  The other way round, every public function,
+class and method of the package is read somewhere in the package or the
+benchmark, so a name only tests reach fails here unless ``TEST_ONLY``
+gives its reason.  The package loads each submodule on first use; the
+last tests pin that in a fresh interpreter.
 """
 
 import ast
+import collections
 import functools
 import importlib
 import json
@@ -81,6 +85,70 @@ def test_the_chain_walk_reads_nc_and_self_nc(tmp_path):
     source = tmp_path / "probe.py"
     source.write_text("nc.a.b(1)\nself.nc.c\nx = self.nc\nother.d\nnc.e().f\nself.g.nc\n")
     assert benchmark_chains([source]) == {("a",), ("a", "b"), ("c",), ("e",)}
+
+
+#: Public definitions that only tests read, each with the reason it stays.
+TEST_ONLY = {
+    "potential.py: reconstruct_spectrum": "a README feature: the exact spectrum of N J",
+    "quiver.py: potential_double_cover": "a README feature, and the paper's lift to the double cover",
+    "exact.py: ExactMatrix.rank": "the sympy test of row_reduce goes through it",
+}
+
+
+def _public_definitions(tree):
+    """(qualified name, node) for each public function and class of a module, and their public methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def _loads(node):
+    """How often each name is read below the node, as a bare name or an attribute."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    )
+
+
+def unread_definitions(paths, other_readers):
+    """``"<file>: <name>"`` for each public definition in ``paths`` that none of the files reads outside itself.
+
+    An import is not a read, nor a string such as an ``_EXPORTS`` entry.
+    """
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in (*paths, *other_readers)}
+    loads = sum(map(_loads, trees.values()), collections.Counter())
+    return sorted(
+        f"{path.name}: {qualname}"
+        for path in paths
+        for qualname, node in _public_definitions(trees[path])
+        if loads[node.name] == _loads(node)[node.name]
+    )
+
+
+def test_every_public_definition_is_read_outside_the_tests():
+    package = sorted(Path(ncmoduli.__file__).parent.glob("*.py"))
+    assert unread_definitions(package, sorted((ROOT / "perfbench").glob("*.py"))) == sorted(TEST_ONLY)
+
+
+def test_the_surface_walk_skips_reads_inside_the_definition(tmp_path):
+    source = tmp_path / "mod.py"
+    source.write_text(
+        "def used():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+        "def _private():\n    pass\n\n"
+        "class Box:\n"
+        "    def read(self):\n        return self.helper()\n\n"
+        "    def helper(self):\n        return used\n\n"
+        "    def lonely(self):\n        return self.lonely\n"
+    )
+    reader = tmp_path / "reader.py"
+    reader.write_text("from mod import Box, recursive\nBox().read()\nx = {'lonely': 1}\n")
+    assert unread_definitions([source], [reader]) == ["mod.py: Box.lonely", "mod.py: recursive"]
 
 
 def test_each_name_is_its_home_module_object():

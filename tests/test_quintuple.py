@@ -56,7 +56,7 @@ def test_pairing_matrix_fixed_properties():
 
 def test_linear_reference_tensor():
     q = linear_reference_quintuple()
-    assert q.flatten() == J_MATRIX
+    assert q.m == J_MATRIX
     inv = invariants(q)
     assert inv.as_tuple() == (
         GaussianRational(4),
@@ -206,7 +206,7 @@ def test_invariants_float_consistency_via_orthogonal_change():
         q = _random_tensor(rng)
         if q.is_zero():
             continue
-        m = np.array([[_complex(q.flatten()[r, c]) for c in range(4)] for r in range(4)])
+        m = np.array([[_complex(q.m[r, c]) for c in range(4)] for r in range(4)])
         inv = invariants(q)
         c = tc_inv @ m @ tc_inv.T
         gram = c.T @ c

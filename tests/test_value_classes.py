@@ -163,7 +163,7 @@ def test_the_pairing_constant_cannot_be_rewritten_through_a_tensor():
     expected = (Fraction(2), Fraction(1), Fraction(1, 2), Fraction(1, 4))
     assert invariants_potential(base).as_tuple() == expected
     with pytest.raises(AttributeError, match="cannot assign to field 'rows'"):
-        linear_reference_quintuple().flatten().rows = ExactMatrix.identity(4).rows
+        linear_reference_quintuple().m.rows = ExactMatrix.identity(4).rows
     assert invariants_potential(base).as_tuple() == expected
 
 
