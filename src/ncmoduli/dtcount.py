@@ -17,12 +17,14 @@ StabilityParameter holds one verdict per zero pattern (32 of them).
 ``is_theta_stable`` reads that table, and so does the parameter's own
 framed-chamber check, which ``count_points`` and ``counting_report`` run
 before any count.  The relations are the table of
-``quiver.jacobi_generators``, built once per call: each path becomes
-the monomial of its arrow counts, giving commuting polynomials mod p,
-grouped by their (b1, b2) monomial.  The helper ``_on_slice``
-substitutes an (a1, a2) slice into them, and one evaluator,
-``_solutions``, filters a list of points (b1, b2) down to those where
-the slice's polynomials vanish, one polynomial at a time.
+``quiver.jacobi_generators``, built once per call and read only by
+``_commuting_relations``: each path becomes the monomial of its arrow
+counts, giving commuting polynomials mod p, grouped by their (b1, b2)
+monomial, and the same compile tells ``counting_report`` which primes
+its fit leaves out.  The helper ``_on_slice`` substitutes an (a1, a2)
+slice into them, and one evaluator, ``_solutions``, filters a list of
+points (b1, b2) down to those where the slice's polynomials vanish, one
+polynomial at a time.
 ``satisfies_relations`` hands it a one-point list; the count hands it
 each slice's stable points, listed once per zero pattern of (a1, a2),
 so a slice where every relation vanishes adds all of them, and
@@ -124,42 +126,50 @@ def _require_conifold(potential: CyclicPotential) -> None:
 _Relation = List[Tuple[int, int, List[Tuple[int, int, int]]]]
 
 
-def _commuting_relations(table: _Table, p: int) -> Tuple[List[_Relation], Optional[Fraction]]:
+def _commuting_relations(table: _Table, p: int) -> Tuple[List[_Relation], Optional[Fraction], bool]:
     """The Jacobi relations at dimension (1, 1, 1) as commuting polynomials mod p.
 
     Scalars commute, so each path of a cyclic derivative evaluates to the
-    monomial of its arrow counts.  Each relation is grouped by its (b1, b2)
-    monomial, as ``_Relation`` terms with coefficients mod p, for
-    ``_on_slice`` to substitute (a1, a2); terms that cancel mod p are
-    dropped, and so are relations that vanish identically.  p is prime.
+    monomial of its arrow counts.  Each derivative is scaled by the lcm of
+    its path denominators and the paths of each monomial are summed over
+    Z; where p divides no path denominator it divides no lcm, so the scale
+    is a unit mod p and the relations cut out the same points.  Each
+    relation is grouped by its (b1, b2) monomial, as ``_Relation`` terms
+    with coefficients mod p, for ``_on_slice`` to substitute (a1, a2);
+    terms that cancel mod p are dropped, and so are relations that vanish
+    identically.  p is prime.
 
-    Returns the relations and None, or, where the relation scheme itself
-    degenerates, no relations and the first coefficient of a derivative
-    path whose denominator p divides, in the order of ``jacobi_generators``
-    whatever the order of the terms.  The caller refuses that with
-    ``_require_defined``, in a frame that holds no table, so a refusal
-    kept with its traceback keeps no table alive.
+    Returns the relations, None, and whether a nonzero sum vanished mod p.
+    Where p divides a path denominator it returns no relations, the first
+    such coefficient in the order of ``jacobi_generators`` whatever the
+    order of the terms, and False.  The relations keep their shape exactly
+    where neither happens: a nonzero sum over Q is its integer sum over the
+    lcm, so p divides its numerator or denominator only where it divides a
+    path denominator or the integer sum.  The caller refuses an undefined
+    coefficient with ``_require_defined``, in a frame that holds no table,
+    so a refusal kept with its traceback keeps no table alive.
     """
     a1, a2, b1, b2 = ARROW_ORDER
-    inverses: Dict[int, int] = {}  # each distinct denominator inverted once
     relations = []
+    dropped = False
     for derivative in table.values():
+        scale = math.lcm(*(coeff.denominator for coeff in derivative.values()))
+        if scale % p == 0:
+            return [], next(coeff for coeff in derivative.values() if coeff.denominator % p == 0), False
         relation: Dict[Tuple[int, ...], int] = {}
         for path, coeff in derivative.items():
-            den = coeff.denominator
-            if den not in inverses:
-                if den % p == 0:
-                    return [], coeff
-                inverses[den] = pow(den, -1, p)
             key = (path.count(a1), path.count(a2), path.count(b1), path.count(b2))
-            relation[key] = (relation.get(key, 0) + coeff.numerator * inverses[den]) % p
+            relation[key] = relation.get(key, 0) + coeff.numerator * (scale // coeff.denominator)
         by_b: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
-        for (e1, e2, e3, e4), c in relation.items():
+        for (e1, e2, e3, e4), total in relation.items():
+            c = total % p
             if c:
                 by_b.setdefault((e3, e4), []).append((e1, e2, c))
+            elif total:
+                dropped = True
         if by_b:
             relations.append([(e3, e4, terms) for (e3, e4), terms in by_b.items()])
-    return relations, None
+    return relations, None, dropped
 
 
 def _require_defined(undefined: Optional[Fraction], p: int) -> None:
@@ -205,7 +215,7 @@ def satisfies_relations(rep: FramedRep, potential: CyclicPotential) -> bool:
     a1, a2, b1, b2 = (getattr(rep, x).value for x in ARROW_ORDER)
     p = rep.p
     _require_conifold(potential)
-    relations, undefined = _commuting_relations(jacobi_generators(potential), p)
+    relations, undefined, _ = _commuting_relations(jacobi_generators(potential), p)
     _require_defined(undefined, p)
     return bool(_solutions(_on_slice(relations, a1, a2, p), [(b1, b2)], p))
 
@@ -263,7 +273,7 @@ def count_points(potential: CyclicPotential, theta: StabilityParameter, p: int) 
     theta._require_framed_chamber()
     _check_count_prime(p)
     # no local holds the table, so a kept refusal does not keep it alive
-    relations, undefined = _commuting_relations(jacobi_generators(potential), p)
+    relations, undefined, _ = _commuting_relations(jacobi_generators(potential), p)
     _require_defined(undefined, p)
     return _count_points(relations, theta, p)
 
@@ -324,29 +334,6 @@ class CountReport(_Record):
         }
 
 
-def _degenerate_primes(table: _Table, primes: Sequence[int]) -> List[int]:
-    """Primes at which the commuting relations change shape.
-
-    The count reads each relation as a polynomial in the four scalars,
-    whose coefficients sum the path coefficients of one monomial, keyed
-    as in ``_commuting_relations``.  A prime is excluded when it divides
-    the denominator of a path coefficient, where the count is undefined,
-    or the numerator or the denominator of a nonzero monomial coefficient,
-    where a term vanishes mod p.  Counts at excluded primes are still
-    reported when defined, but they join no interpolation.
-    """
-    values = set()
-    for derivative in table.values():
-        sums: Dict[Tuple[int, ...], Fraction] = {}
-        for path, c in derivative.items():
-            values.add(c.denominator)
-            key = tuple(map(path.count, ARROW_ORDER))
-            sums[key] = sums.get(key, 0) + c
-        # a prime divides the numerator or the denominator when it divides their product
-        values.update(c.numerator * c.denominator for c in sums.values() if c)
-    return sorted({p for p in primes for v in values if v % p == 0})
-
-
 def counting_report(
     potential: CyclicPotential,
     theta: StabilityParameter,
@@ -355,10 +342,11 @@ def counting_report(
     """Count at each prime and interpolate a cubic through the clean primes.
 
     Needs at least four primes and a stability inside the framed chamber,
-    both checked before any count.  Every prime that divides no relation
-    denominator is counted, and a refusal there is raised; the primes of
-    ``_degenerate_primes`` are excluded from the fit.  The fit
-    is Lagrange's formula, a one-variable ``_Poly`` through the first four
+    both checked before any count.  Each prime compiles the relations
+    once; where they are defined it is counted, and a refusal there is
+    raised.  The fit leaves out each prime whose compile is undefined or
+    drops a nonzero term, so it sees relations of one shape.  It is
+    Lagrange's formula, a one-variable ``_Poly`` through the first four
     included primes, checked at every included prime; when a check fails
     no polynomial is reported.  The Euler characteristic is the fit evaluated at 1, and
     the report records whether the fit equals the classical q^3 + q^2.
@@ -372,9 +360,9 @@ def counting_report(
 
     _require_conifold(potential)
     table = jacobi_generators(potential)
-    excluded = _degenerate_primes(table, ps)
     compiled = {p: _commuting_relations(table, p) for p in ps}
-    counts = {p: _count_points(relations, theta, p) for p, (relations, bad) in compiled.items() if bad is None}
+    counts = {p: _count_points(relations, theta, p) for p, (relations, bad, _) in compiled.items() if bad is None}
+    excluded = [p for p, (_, bad, dropped) in compiled.items() if bad is not None or dropped]
     included = [p for p in ps if p not in excluded]
 
     polynomial = None

@@ -21,7 +21,7 @@ from ncmoduli.dtcount import (
     is_theta_stable,
     satisfies_relations,
 )
-from ncmoduli.dtcount import _degenerate_primes
+from ncmoduli.dtcount import _commuting_relations
 from ncmoduli.potential import SymmetricPotentialMatrix, sym_matrix_to_potential
 from ncmoduli.quiver import (
     CyclicPotential,
@@ -187,30 +187,97 @@ def test_report_refuses_a_stability_outside_the_chamber_at_degenerate_primes():
             counting_report(potential, theta, (2, 3, 5, 7))
 
 
+def _reference_exclusions(table, primes):
+    """The primes where the relations change shape, by a keying of their own.
+
+    The count sums the coefficients of the paths of one commuting monomial,
+    here keyed by the sorted labels of a path; a prime is degenerate when
+    it divides a path denominator or a numerator or denominator of a nonzero sum.
+    """
+    coeffs = [c for derivative in table.values() for c in derivative.values()]
+    sums = []
+    for derivative in table.values():
+        by_monomial = {}
+        for path, c in derivative.items():
+            key = tuple(sorted(path))
+            by_monomial[key] = by_monomial.get(key, 0) + c
+        sums += [c for c in by_monomial.values() if c]
+    return sorted(
+        {p for c in coeffs for p in primes if c.denominator % p == 0}
+        | {p for c in sums for p in primes if c.numerator % p == 0 or c.denominator % p == 0}
+    )
+
+
+def _compiled_exclusions(table, primes):
+    """The primes where the compile finds an undefined coefficient or drops a nonzero term."""
+    return [p for p in primes if _commuting_relations(table, p)[1:] != (None, False)]
+
+
 def test_degenerate_primes_match_the_jacobi_generators():
-    # the count sums the coefficients of the paths of one commuting monomial,
-    # here keyed by the sorted labels of a path; a prime is degenerate when
-    # it divides a path denominator or a numerator or denominator of a nonzero sum
     primes = (2, 3, 5, 7, 11, 13)
     per_path = 0
     for potential in _reference_potentials():
         table = jacobi_generators(potential)
+        want = _reference_exclusions(table, primes)
+        assert _compiled_exclusions(table, primes) == want
         coeffs = [c for derivative in table.values() for c in derivative.values()]
-        sums = []
-        for derivative in table.values():
-            by_monomial = {}
-            for path, c in derivative.items():
-                key = tuple(sorted(path))
-                by_monomial[key] = by_monomial.get(key, 0) + c
-            sums += [c for c in by_monomial.values() if c]
-        want = sorted(
-            {p for c in coeffs for p in primes if c.denominator % p == 0}
-            | {p for c in sums for p in primes if c.numerator % p == 0 or c.denominator % p == 0}
-        )
-        assert _degenerate_primes(table, primes) == want
         per_path += want != sorted({p for c in coeffs for p in primes if c.numerator * c.denominator % p == 0})
     # the rule that read each path coefficient alone differs on these
     assert per_path == 5
+
+
+def test_the_compile_excludes_by_the_reference_rule_on_random_potentials():
+    # random words up to length 6 share commuting monomials, so their
+    # coefficients, with denominators from {1, 2, 3, 5, 6}, often cancel mod p
+    rng = Random(17)
+    quiver = conifold_quiver()
+    primes = (2, 3, 5, 7, 11, 13)
+
+    def word():
+        return tuple(x for _ in range(rng.randint(1, 3)) for x in (rng.choice(("a1", "a2")), rng.choice(("b1", "b2"))))
+
+    def coefficient():
+        return Fraction(rng.choice((1, -1, 2, -3, 4, 5, 7)), rng.choice((1, 2, 3, 5, 6)))
+
+    potentials = [CyclicPotential(quiver, {word(): coefficient() for _ in range(rng.randint(1, 5))}) for _ in range(300)]
+    for coeff in (2, 1):  # a1 b1 a2 b2 + coeff * a1 b2 a2 b1 cancels where p divides 1 + coeff
+        potentials.append(CyclicPotential(quiver, {("a1", "b1", "a2", "b2"): 1, ("a1", "b2", "a2", "b1"): coeff}))
+    potentials += [conifold_potential().scale(s) for s in (Fraction(1, 3), 210, Fraction(1, 210))]
+    undefined = dropped = 0
+    for potential in potentials:
+        table = jacobi_generators(potential)
+        assert _compiled_exclusions(table, primes) == _reference_exclusions(table, primes), potential.terms
+        for p in primes:
+            _, bad, cancelled = _commuting_relations(table, p)
+            undefined += bad is not None
+            dropped += cancelled
+    # the sweep reaches both verdicts, not only one of them
+    assert undefined > 100 and dropped > 100
+
+
+def test_report_excludes_a_prime_where_two_denominators_cancel():
+    # the derivative by a1 is (1/2) b1 a2 b2 + (1/3) b2 a2 b1, one monomial
+    # whose coefficient 5/6 vanishes at 5 while no path denominator holds 5
+    potential = CyclicPotential(
+        conifold_quiver(), {("a1", "b1", "a2", "b2"): Fraction(1, 2), ("a1", "b2", "a2", "b1"): Fraction(1, 3)}
+    )
+    report = counting_report(potential, default_stability(), (2, 3, 5, 7, 11, 13))
+    assert report.excluded == (2, 3, 5)
+    assert report.counts == {5: 150, 7: 32, 11: 52, 13: 62}
+    assert report.polynomial is None
+    for p in (5, 7):
+        assert count_points(potential, default_stability(), p) == _reference_count(potential, (-1, -1, 2), p)
+
+
+def test_report_keeps_a_prime_that_divides_only_a_word_denominator():
+    # the derivative of (1/2) a1 b1 a1 b1 by a1 is b1 a1 b1 twice over,
+    # coefficient 1, so 2 divides no path denominator and is counted and fit
+    potential = CyclicPotential(conifold_quiver(), {("a1", "b1", "a1", "b1"): Fraction(1, 2)})
+    report = counting_report(potential, default_stability(), (2, 3, 5, 7))
+    assert report.excluded == ()
+    assert report.counts == {2: 8, 3: 18, 5: 50, 7: 98}
+    assert report.polynomial == (0, 0, 2, 0)
+    assert report.matches_classical is False
 
 
 @pytest.mark.parametrize(

@@ -115,18 +115,21 @@ def _loads(node):
     )
 
 
-def unread_definitions(paths, other_readers):
-    """``"<file>: <name>"`` for each public definition in ``paths`` that none of the files reads outside itself.
+def unread_definitions(paths, other_readers, definitions=_public_definitions):
+    """``"<file>: <name>"`` for each definition in ``paths`` that none of the files reads outside itself.
 
-    An import is not a read, nor a string such as an ``_EXPORTS`` entry.
+    ``definitions`` yields (qualified name, node) for a module's tree; the
+    last part of the qualified name is the name that must be read.  An
+    import is not a read, nor a string such as an ``_EXPORTS`` entry.
     """
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in (*paths, *other_readers)}
     loads = sum(map(_loads, trees.values()), collections.Counter())
     return sorted(
         f"{path.name}: {qualname}"
         for path in paths
-        for qualname, node in _public_definitions(trees[path])
-        if loads[node.name] == _loads(node)[node.name]
+        for qualname, node in definitions(trees[path])
+        for name in [qualname.rpartition(".")[2]]
+        if loads[name] == _loads(node)[name]
     )
 
 
