@@ -296,18 +296,10 @@ def criterion_6(seed: int, n_pairs: int) -> Tuple[bool, str]:
     rejected = 0
     for _ in range(n_pairs):
         c1 = random_configuration(rng)
-        lam1 = c1.lam.affine.as_fraction()
-        orbit_values = {
-            lam1,
-            1 / lam1,
-            1 - lam1,
-            1 - 1 / lam1,
-            1 / (1 - lam1),
-            lam1 / (lam1 - 1),
-        }
+        orbit_values = {apply_group_element(c1, word).lam.affine for word in LAMBDA_WORDS}
         while True:
             c2 = random_configuration(rng)
-            if c2.lam.affine.as_fraction() not in orbit_values:
+            if c2.lam.affine not in orbit_values:
                 break
         equivalent, _ = orbit_equivalent(c1, c2)
         if not equivalent:

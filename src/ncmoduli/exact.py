@@ -13,8 +13,10 @@ matrix types used throughout:
   sparse rows over Q(i).  It gives ``ExactMatrix.rank`` and the ranks
   behind ``quiver.graded_dimension``.
 * ``ExactMatrix``: dense matrices over Q(i) with exact rank, Kronecker
-  products, power traces, nilpotency decided by them, and a determinant
-  that never divides, which the covering proof runs on ``_Poly`` entries.
+  products, power traces, nilpotency decided by them, products that skip
+  the zero entries of their right factor, and a determinant that never
+  divides; the covering proof runs products and determinant on ``_Poly``
+  entries.
 * ``binary_form_gcd``: the gcd of binary forms given as coefficient tuples.
   Its long division of descending coefficient lists also runs the Sturm
   chains and the square-free factors of ``potential.reconstruct_spectrum``.
@@ -530,9 +532,11 @@ class ExactMatrix(_Record):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        cols = tuple(zip(*other.rows))
+        # each column of the right factor as its nonzero (row, entry) pairs:
+        # a product with the signed permutation J costs n^2 products, not n^3
+        cols = [[(k, v) for k, v in enumerate(col) if v] for col in zip(*other.rows)]
         return ExactMatrix._wrap(
-            tuple(tuple(_dot(row, col) for col in cols) for row in self.rows)
+            tuple(tuple(_sum_of(row[k] * v for k, v in col) for col in cols) for row in self.rows)
         )
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":

@@ -66,6 +66,8 @@ _ENTRY = {
     for r, c in _UPPER
     for (i, j), (k, l) in [(PAIR_INDEX[r], PAIR_INDEX[c])]
 }
+# the entry of every word a potential lacks
+_NO_TERM = Fraction(0)
 # _TRACE_NJ: (place of N[i][k] in _UPPER, J[k][i]) for the four nonzero J[k][i]
 _TRACE_NJ = tuple((_UPPER_POS[i][k], v.as_fraction()) for k, row in enumerate(J_MATRIX.rows)
                   for i, v in enumerate(row) if v)
@@ -126,20 +128,24 @@ class SymmetricPotentialMatrix(_Record):
 def potential_to_sym_matrix(potential: CyclicPotential) -> SymmetricPotentialMatrix:
     """Extract the symmetric coefficient matrix of a quartic conifold potential.
 
-    Every cycle of the conifold quiver alternates a and b arrows, so the
-    only words without an entry are those of another length.
+    The exact inverse of :func:`sym_matrix_to_potential`: each word sets its
+    upper entry, to its coefficient on the diagonal and to half of it off
+    it.  Every cycle of the conifold quiver alternates a and b arrows, so
+    the only words without an entry are those of another length.
     """
     if potential.quiver != conifold_quiver():
         raise DomainError("expected a potential on the conifold quiver")
-    acc = [[Fraction(0)] * 4 for _ in range(4)]
+    upper = [_NO_TERM] * len(_UPPER)
     for word, coeff in potential.terms.items():
         entry = _ENTRY.get(word)
         if entry is None:
             raise DomainError(f"word {word} is not quartic")
         r, c = entry
-        acc[r][c] += coeff / 2
-        acc[c][r] += coeff / 2
-    return SymmetricPotentialMatrix(acc)
+        upper[_UPPER_POS[r][c]] = coeff if r == c else coeff / 2
+    # the upper entries of a symmetric matrix by construction: no check to repeat
+    n = object.__new__(SymmetricPotentialMatrix)
+    object.__setattr__(n, "upper", tuple(upper))
+    return n
 
 
 def sym_matrix_to_potential(n: SymmetricPotentialMatrix) -> CyclicPotential:

@@ -44,7 +44,10 @@ class Quintuple(_Record):
 
     ``q[i, j, k, l]`` is M[2i + j][2k + l]; the constructor and the JSON
     form take the nested array w[i][j][k][l], so pickling goes through
-    ``from_matrix``.
+    ``from_matrix``.  The constructor raises ``SchemaError`` for a shape
+    fault (a wrong length, or a list where a scalar belongs) and
+    ``TypeError`` for a leaf that is not a scalar of Q(i), such as a float
+    or a string.
     """
 
     __slots__ = ("m",)
@@ -58,12 +61,13 @@ class Quintuple(_Record):
                 for k in range(2)
             ):
                 raise ValueError
-            rows = tuple(
-                tuple(GaussianRational.coerce(entries[i][j][k][l]) for k, l in PAIR_INDEX)
-                for i, j in PAIR_INDEX
-            )
+            leaves = [[entries[i][j][k][l] for k, l in PAIR_INDEX] for i, j in PAIR_INDEX]
+            if any(isinstance(leaf, (list, tuple)) for row in leaves for leaf in row):
+                raise ValueError
         except (TypeError, IndexError, ValueError, KeyError) as exc:
             raise SchemaError("a quintuple needs a full 2x2x2x2 nested array") from exc
+        # outside the handler, so a float or string leaf raises its own TypeError
+        rows = tuple(tuple(GaussianRational.coerce(leaf) for leaf in row) for row in leaves)
         object.__setattr__(self, "m", ExactMatrix._wrap(rows))
 
     def __getitem__(self, key):

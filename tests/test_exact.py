@@ -22,6 +22,7 @@ from ncmoduli.exact import (
     scalar_to_json,
 )
 from ncmoduli.exact import _Poly
+from ncmoduli.quintuple import J_MATRIX
 
 
 def _rand_gaussian(rng, span=9, maxden=7):
@@ -396,6 +397,76 @@ def test_matrix_algebra_basics():
     assert (a ** 3) == a * a * a
     with pytest.raises(ValueError):
         ExactMatrix([[1, 2], [3]])
+
+
+def _dense_product(a, b):
+    """The product by its definition: entry (i, j) sums a[i, k] * b[k, j] over every k."""
+    return [
+        [sum((a[i, k] * b[k, j] for k in range(a.ncols)), GaussianRational(0)) for j in range(b.ncols)]
+        for i in range(a.nrows)
+    ]
+
+
+def test_products_match_the_dense_definition():
+    rng = Random(111)
+    zero = GaussianRational(0)
+    for _ in range(20):
+        a, b = _random_matrix(rng), _random_matrix(rng)
+        with_zero_row = ExactMatrix([row if r != 1 else [zero] * 4 for r, row in enumerate(a.rows)])
+        with_zero_col = ExactMatrix([[zero if c == 2 else v for c, v in enumerate(row)] for row in b.rows])
+        sparse = ExactMatrix([[v if rng.randrange(3) == 0 else zero for v in row] for row in a.rows])
+        zeros = ExactMatrix([[0] * 4 for _ in range(4)])
+        for x, y in [
+            (a, b), (with_zero_row, b), (a, with_zero_col), (with_zero_col, with_zero_row),
+            (sparse, a), (a, sparse), (zeros, a), (a, zeros), (a, J_MATRIX), (J_MATRIX, a),
+        ]:
+            assert (x * y).rows == tuple(map(tuple, _dense_product(x, y)))
+    wide, tall = ExactMatrix([[1, 0, 2]]), ExactMatrix([[0], [3], [0]])
+    assert (wide * tall).rows == ((0,),) and (tall * wide).rows == ((0, 0, 0), (3, 0, 6), (0, 0, 0))
+    # polynomial entries, as the symbolic covering proof multiplies them
+    x = _Poly.variables(16)
+    m = ExactMatrix._wrap(tuple(tuple(x[4 * r + c] for c in range(4)) for r in range(4)))
+    for other in (J_MATRIX, m, zeros):
+        assert (m * other).rows == tuple(map(tuple, _dense_product(m, other)))
+
+
+class _Counted:
+    """A scalar that counts, in its shared ``tally``, the multiplications it takes part in."""
+
+    def __init__(self, value, tally):
+        self.value, self.tally = value, tally
+
+    def __mul__(self, other):
+        self.tally[0] += 1
+        return _Counted(self.value * getattr(other, "value", other), self.tally)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        return _Counted(self.value + getattr(other, "value", other), self.tally)
+
+    __radd__ = __add__
+
+    def __bool__(self):
+        return bool(self.value)
+
+
+def test_a_product_skips_the_zero_entries_of_its_right_factor():
+    rng = Random(112)
+    a, b = _random_matrix(rng), _random_matrix(rng)
+    assert all(map(all, a.rows + b.rows))
+    tally = [0]
+    counted_a, counted_b = (
+        ExactMatrix._wrap(tuple(tuple(_Counted(v, tally) for v in row) for row in m.rows)) for m in (a, b)
+    )
+    # J is a signed permutation: one nonzero entry in each of its four columns
+    product = counted_a * J_MATRIX
+    assert tally == [16]
+    assert [[v.value for v in row] for row in product.rows] == _dense_product(a, J_MATRIX)
+    tally[0] = 0
+    product = counted_a * counted_b
+    assert tally == [64]
+    assert [[v.value for v in row] for row in product.rows] == _dense_product(a, b)
 
 
 def test_poly_takes_only_polynomials_and_scalars():

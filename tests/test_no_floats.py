@@ -19,6 +19,7 @@ import ncmoduli
 from ncmoduli.dtcount import FramedRep, StabilityParameter, count_points, counting_report, default_stability
 from ncmoduli.exact import GaussianRational, PrimeFieldElement
 from ncmoduli.potential import SymmetricPotentialMatrix, fiber_experiment
+from ncmoduli.quintuple import Quintuple
 from ncmoduli.quiver import CyclicPotential, conifold_potential, conifold_quiver
 
 PACKAGE = Path(ncmoduli.__file__).parent
@@ -69,6 +70,7 @@ ENTRY_POINTS = {
     "fiber_experiment": lambda v: fiber_experiment((1, 2, 3, v)),
     "counting_report": lambda v: counting_report(conifold_potential(), default_stability(), (2, 3, 5, v)),
     "count_points": lambda v: count_points(conifold_potential(), default_stability(), v),
+    "Quintuple": lambda v: Quintuple([[[[v, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]]),
     "PrimeFieldElement": lambda v: PrimeFieldElement(v, 5),
     "PrimeFieldElement.modulus": lambda v: PrimeFieldElement(3, v),
     "FramedRep.from_ints": lambda v: FramedRep.from_ints(5, v, 0, 0, 0, 1),

@@ -52,11 +52,30 @@ def test_base_potential_matrix_is_half_pairing():
     assert n.to_exact() == J_MATRIX.scale(Fraction(1, 2))
 
 
+def _zero_heavy_symmetric(rng):
+    """A symmetric N whose upper entries are each zero with probability 3/4."""
+    vals = [[Fraction(0)] * 4 for _ in range(4)]
+    for r in range(4):
+        for c in range(r, 4):
+            if rng.randrange(4) == 0:
+                vals[r][c] = vals[c][r] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return SymmetricPotentialMatrix(vals)
+
+
 def test_matrix_potential_roundtrip():
+    # the criterion-1 range, square words, low-rank, diagonal and near-base
+    # matrices, then zero-heavy ones, the zero matrix among them
     rng = Random(50)
-    for _ in range(20):
-        n = _random_symmetric(rng)
-        assert potential_to_sym_matrix(sym_matrix_to_potential(n)) == n
+    shapes = list(_reference_matrices(rng)) + [_zero_heavy_symmetric(rng) for _ in range(200)]
+    assert any(n.is_zero() for n in shapes)
+    for n in shapes:
+        phi = sym_matrix_to_potential(n)
+        back = potential_to_sym_matrix(phi)
+        assert back == n and back.n == n.n
+        # a square word's coefficient is its diagonal entry, the very object
+        for word, (r, c) in potential._ENTRY.items():
+            if r == c and word in phi.terms:
+                assert back[r, r] is phi.terms[word]
 
 
 def test_potential_roundtrip_through_matrix():

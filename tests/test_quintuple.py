@@ -323,6 +323,24 @@ def test_json_roundtrip_and_schema():
         Quintuple.from_json(doc)
 
 
+def test_constructor_tells_shape_faults_from_leaves_that_are_not_scalars():
+    def tensor(leaf):
+        return [[[[leaf if (i, j, k, l) == (1, 0, 1, 1) else 0 for l in range(2)] for k in range(2)]
+                 for j in range(2)] for i in range(2)]
+
+    assert Quintuple(tensor(Fraction(1, 3)))[1, 0, 1, 1] == Fraction(1, 3)
+    # a list where a scalar belongs, a missing leaf and a third slot are shape faults
+    short = tensor(1)
+    short[0][1][1] = [0]
+    for bad in (tensor([1, 2]), tensor((1, 2)), short, tensor(1) + [tensor(1)[0]]):
+        with pytest.raises(SchemaError):
+            Quintuple(bad)
+    # a leaf that is not a scalar of Q(i) keeps the TypeError of every other entry point
+    for leaf in (0.5, "1/3", None):
+        with pytest.raises(TypeError):
+            Quintuple(tensor(leaf))
+
+
 # _SLOT_ENTRY[j](w, a, c, k0, k1): the entry of w with a in slot j, c in
 # slot j + 1 (mod 4) and (k0, k1) in the other two slots, in slot order
 _SLOT_ENTRY = (
