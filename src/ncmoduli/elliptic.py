@@ -31,7 +31,10 @@ the three classes take equality and hashing from ``exact._Record``.
 
 Equality of points is literal field equality after a canonical
 projective normalization, so orbit search is an exact finite
-enumeration.
+enumeration.  One normalizer, ``_normalized``, writes every point, for
+``EllPoint.make`` and for each generator image, with one reduction per
+coordinate it computes; reduced triples are unique, so no exact
+normalization stores other coordinates.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from random import Random
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import DomainError
-from .exact import GAUSSIAN_I, GaussianRational, ScalarLike, _Poly, _Record
+from .exact import GAUSSIAN_I, GaussianRational, ScalarLike, _over_power, _Poly, _Record
 
 TRANSLATION_NAMES = ("t1", "t2", "t3")
 
@@ -85,7 +88,12 @@ class LambdaPair(_Record):
 
 
 class EllPoint(_Record):
-    """A curve point (X : Y : Z), weight (1, 1, 2), canonically normalized."""
+    """A curve point (X : Y : Z), weight (1, 1, 2), canonically normalized.
+
+    The first nonzero of X and Y is 1 and Z is scaled to match, or the
+    point is (0 : 0 : 1).  Build points with ``make``: the constructor
+    stores its coordinates as given.
+    """
 
     __slots__ = ("x", "y", "z")
 
@@ -98,23 +106,23 @@ class EllPoint(_Record):
 
     @classmethod
     def make(cls, x: ScalarLike, y: ScalarLike, z: ScalarLike) -> "EllPoint":
-        """Normalize the first nonzero weight-1 coordinate to 1."""
-        gx = GaussianRational.coerce(x)
-        gy = GaussianRational.coerce(y)
-        gz = GaussianRational.coerce(z)
-        if not gx.is_zero():
-            inv = gx.inverse()
-            return cls(_ONE, inv * gy, inv * inv * gz)
-        if not gy.is_zero():
-            inv = gy.inverse()
-            return cls(_ZERO, _ONE, inv * inv * gz)
-        if gz.is_zero():
-            raise DomainError("(0 : 0 : 0) is not a point")
-        return cls(_ZERO, _ZERO, _ONE)
+        """(x : y : z) with its first nonzero weight-1 coordinate set to 1; ``DomainError`` for (0 : 0 : 0)."""
+        return _normalized(GaussianRational.coerce(x), GaussianRational.coerce(y), GaussianRational.coerce(z))
 
     def flipped(self) -> "EllPoint":
         """The hyperelliptic involution Z -> -Z."""
         return EllPoint(self.x, self.y, -self.z)
+
+
+def _normalized(x: GaussianRational, y: GaussianRational, z: GaussianRational) -> EllPoint:
+    """(x : y : z) as (1 : y/x : z/x^2), (0 : 1 : z/y^2) or (0 : 0 : 1), one reduction per quotient."""
+    if not x.is_zero():
+        return EllPoint(_ONE, _over_power(y, x, 1), _over_power(z, x, 2))
+    if not y.is_zero():
+        return EllPoint(_ZERO, _ONE, _over_power(z, y, 2))
+    if z.is_zero():
+        raise DomainError("(0 : 0 : 0) is not a point")
+    return EllPoint(_ZERO, _ZERO, _ONE)
 
 
 def curve_rhs(l0, l1, x, y):
@@ -147,7 +155,7 @@ _GENERATORS = {
 
 def _image_point(lam: LambdaPair, pt: EllPoint, which: str) -> EllPoint:
     """The image of a point over ``lam`` under the generator ``which``."""
-    return EllPoint.make(*_GENERATORS[which][1](lam.l0, lam.l1, pt.x, pt.y, pt.z))
+    return _normalized(*_GENERATORS[which][1](lam.l0, lam.l1, pt.x, pt.y, pt.z))
 
 
 def translate(lam: LambdaPair, pt: EllPoint, which: str) -> EllPoint:

@@ -297,6 +297,14 @@ def _quotient(num, den) -> GaussianRational:
     return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * n)
 
 
+def _over_power(num: GaussianRational, den: GaussianRational, k: int) -> GaussianRational:
+    """num / den**k for k = 1 or 2, as one reduction: den**2 stays an unreduced triple."""
+    c, e, f = den._a, den._b, den._d
+    if k == 2:
+        c, e, f = c * c - e * e, 2 * c * e, f * f
+    return _quotient((num._a, num._b, num._d), (c, e, f))
+
+
 GAUSSIAN_I = _gauss(0, 1, 1)
 _ZERO = GaussianRational(0)
 

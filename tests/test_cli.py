@@ -6,11 +6,15 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from ncmoduli.cli import main
+from ncmoduli.elliptic import TRANSLATION_NAMES, apply_group_element, random_configuration
+from ncmoduli.exact import scalar_to_json
 
 CLASSICAL = [
     {"cycle": ["a1", "b1", "a2", "b2"], "coeff": "1"},
@@ -422,6 +426,100 @@ def test_elliptic_configuration_errors(tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == message + "\n", argv
+
+
+# -- the contract of the elliptic commands on a seeded sweep -----------
+
+
+def _configuration_document(cfg):
+    """A configuration in the CLI's form (its parameter pair has l1 = 1)."""
+    doc = {"lambda": scalar_to_json(cfg.lam.affine)}
+    for key, pt in (("p1", cfg.p1), ("p2", cfg.p2)):
+        doc[key] = [scalar_to_json(c) for c in (pt.x, pt.y, pt.z)]
+    return doc
+
+
+# the faults a mutated document may carry; the first four make it malformed
+_MALFORMED = ("float", "exponent", "zero-denominator", "missing")
+_FAULTS = ("none",) + _MALFORMED + ("gaussian-lambda", "off-curve", "branch")
+
+
+def _mutated(rng, doc):
+    """(kind, doc) with at most one fault put into a configuration document."""
+    doc = json.loads(json.dumps(doc))
+    kind = rng.choice(_FAULTS)
+    key = rng.choice(("p1", "p2"))
+    slot = rng.randrange(3)
+    if kind == "float":
+        doc[key][slot] = rng.choice((0.5, -2.0, 1.0))
+    elif kind == "exponent":
+        doc[key][slot] = "1e3"
+    elif kind == "zero-denominator":
+        doc[rng.choice(("lambda", key))] = "1/0"
+    elif kind == "missing":
+        del doc[rng.choice(("lambda", "p1", "p2"))]
+    elif kind == "gaussian-lambda":
+        doc["lambda"] = {"re": doc["lambda"], "im": rng.choice(("1", "-1/2", "3/7"))}
+    elif kind == "off-curve":
+        z, shift = doc[key][2], rng.randint(1, 3)
+        if isinstance(z, dict):
+            z["re"] = str(Fraction(z["re"]) + shift)
+        else:
+            doc[key][2] = str(Fraction(z) + shift)
+    elif kind == "branch":
+        # a 2-torsion point: on the curve, with Z = 0
+        doc["p2"] = rng.choice((["1", "0", "0"], ["0", "1", "0"], ["1", "1", "0"], [doc["lambda"], "1", "0"]))
+    return kind, doc
+
+
+def _check_contract(capsys, argv):
+    """The exit code of argv after checking the CLI contract on its output."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 2, 3), argv
+    if code:
+        prefix = "input error: " if code == 2 else "domain error: "
+        assert captured.out == "", argv
+        assert captured.err.startswith(prefix) and captured.err.count("\n") == 1 and captured.err.endswith("\n"), argv
+        return code
+    assert captured.err == "", argv
+    json.loads(captured.out)
+    assert main(argv) == 0 and capsys.readouterr() == (captured.out, ""), argv
+    return code
+
+
+def test_elliptic_commands_keep_the_contract_on_mutated_documents(tmp_path, capsys):
+    rng = Random(64)
+    seen = set()
+    for k in range(300):
+        first = random_configuration(rng)
+        if k % 2 == 0:
+            kind, doc = _mutated(rng, _configuration_document(first))
+            argv = ["elliptic", "check", "-i", _write(tmp_path, f"check{k}.json", doc)]
+        else:
+            if rng.random() < 0.6:
+                # translations and the complement keep l1 = 1, so the image has CLI form
+                word = rng.choice(((), ("complement",)))
+                tr1, tr2 = (rng.choice((None,) + TRANSLATION_NAMES) for _ in range(2))
+                second = apply_group_element(first, word, tr1, tr2, rng.random() < 0.3)
+            else:
+                second = random_configuration(rng)
+            pair = {"first": _configuration_document(first), "second": _configuration_document(second)}
+            which = rng.choice(("first", "second"))
+            kind, pair[which] = _mutated(rng, pair[which])
+            if rng.random() < 0.05:
+                kind = "missing"
+                del pair[which]
+            argv = ["elliptic", "orbit-test", "-i", _write(tmp_path, f"orbit{k}.json", pair)]
+            if rng.random() < 0.5:
+                argv.append("--include-involution")
+        code = _check_contract(capsys, argv)
+        # a malformed document is refused as input whatever else is wrong
+        assert code == 2 or kind not in _MALFORMED, argv
+        seen.add((argv[1], kind, code))
+    # every command meets every kind of fault, and every exit code occurs
+    assert {(command, kind) for command, kind, _ in seen} >= set(product(("check", "orbit-test"), _FAULTS))
+    assert {code for _, _, code in seen} == {0, 2, 3}
 
 
 def test_elliptic_orbit_test_refuses_off_curve_points(tmp_path, capsys):

@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from random import Random
 
 import pytest
 
-from ncmoduli import elliptic
+from ncmoduli import elliptic, exact
 from ncmoduli.errors import DomainError
 from ncmoduli.exact import GaussianRational
 from ncmoduli.elliptic import (
@@ -79,6 +80,89 @@ def test_point_normalization():
     assert EllPoint.make(0, 0, 5) == EllPoint.make(0, 0, 1)
     with pytest.raises(DomainError):
         EllPoint.make(0, 0, 0)
+
+
+# -- a reference normalization on (re, im) pairs of Fractions ----------
+
+
+def _pair_mul(u, v):
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def _pair_div(u, v):
+    n = v[0] * v[0] + v[1] * v[1]
+    return ((u[0] * v[0] + u[1] * v[1]) / n, (u[1] * v[0] - u[0] * v[1]) / n)
+
+
+def _reference_normalization(x, y, z):
+    """(1 : y/x : z/x^2), (0 : 1 : z/y^2) or (0 : 0 : 1), on Fraction pairs."""
+    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    if x != zero:
+        return one, _pair_div(y, x), _pair_div(z, _pair_mul(x, x))
+    if y != zero:
+        return zero, one, _pair_div(z, _pair_mul(y, y))
+    if z == zero:
+        return None
+    return zero, zero, one
+
+
+def _canonical_triple(pair):
+    """(a, b, d) with (a + b*i)/d equal to the pair, d > 0 and gcd(a, b, d) = 1."""
+    re, im = pair
+    d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+
+
+def _random_pair(rng, height):
+    roll = rng.random()
+    if roll < 0.15:
+        return Fraction(0), Fraction(0)
+    re = Fraction(rng.randint(-height, height), rng.randint(1, height))
+    if roll < 0.45:
+        return re, Fraction(0)
+    return re, Fraction(rng.randint(-height, height), rng.randint(1, height))
+
+
+def test_point_normalization_matches_a_fraction_pair_reference():
+    rng = Random(62)
+    refused = 0
+    for k in range(1500):
+        height = (3, 40, 10 ** 9, 10 ** 40)[k % 4]
+        coords = [_random_pair(rng, height) for _ in range(3)]
+        if k % 7 == 0:
+            coords[0] = (Fraction(0), Fraction(0))
+        if k % 21 == 0:
+            coords[1] = (Fraction(0), Fraction(0))
+        if k % 105 == 0:
+            coords[2] = (Fraction(0), Fraction(0))
+        expected = _reference_normalization(*coords)
+        # real coordinates also go in as plain Fractions, as make coerces them
+        values = [GaussianRational(*c) if c[1] or k % 2 else c[0] for c in coords]
+        if expected is None:
+            refused += 1
+            with pytest.raises(DomainError, match=r"\(0 : 0 : 0\) is not a point"):
+                EllPoint.make(*values)
+            continue
+        pt = EllPoint.make(*values)
+        got = [(c._a, c._b, c._d) for c in (pt.x, pt.y, pt.z)]
+        assert got == [_canonical_triple(c) for c in expected], coords
+    assert refused > 0
+
+
+def test_normalizing_a_point_reduces_once_per_coordinate(count_calls):
+    calls = count_calls(exact, "_reduced")
+    x = GaussianRational(Fraction(2, 3), 5)
+    y = GaussianRational(Fraction(-7, 4), Fraction(1, 9))
+    z = GaussianRational(3, Fraction(-2, 5))
+    # y/x and z/x^2: one reduction each, and none for the leading 1
+    EllPoint.make(x, y, z)
+    assert len(calls) <= 2
+    calls.clear()
+    EllPoint.make(0, y, z)
+    assert len(calls) <= 1
+    calls.clear()
+    EllPoint.make(0, 0, z)
+    assert calls == []
 
 
 def test_two_torsion_lies_on_curve():
