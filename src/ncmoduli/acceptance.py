@@ -3,9 +3,10 @@
 Each criterion is a standalone function ``(seed, samples)`` returning a
 CriterionResult with a pass flag, wall time, and a short human-readable
 detail line.  One decorator gives all eight that signature, the check of
-``samples`` and the time budget; only the sweeps read the seed and the
-size.  All expected values are exact and frozen; sampled sweeps are
-seeded, so the whole suite is deterministic.
+``samples`` and the time budget, in whole seconds; only the sweeps read
+the seed and the size.  All expected values are exact and frozen; sampled
+sweeps are seeded.  The status line and the JSON leave the wall time out,
+so for a seed and a size they are the same bytes on every run.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from .quiver import CyclicPotential, conifold_potential, conifold_quiver, graded
 
 DEFAULT_SEED = 20240817
 
-_TIME_BUDGETS = {1: 10.0, 2: 5.0, 3: None, 4: None, 5: 60.0, 6: 30.0, 7: 60.0, 8: 30.0}
+_TIME_BUDGETS = {1: 10, 2: 5, 3: None, 4: None, 5: 60, 6: 30, 7: 60, 8: 30}
 
 #: Largest sweep size ``samples`` may ask for.  Criterion 2 is the tightest:
 #: at 3 to 4 ms a sample it takes about 2 s of its 5 s budget at this size.
@@ -78,14 +79,13 @@ class CriterionResult(_Record):
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
-        return f"criterion {self.index} [{status}] {self.name} ({self.seconds:.2f}s): {self.detail}"
+        return f"criterion {self.index} [{status}] {self.name}: {self.detail}"
 
     def to_json(self):
         return {
             "index": self.index,
             "name": self.name,
             "passed": self.passed,
-            "seconds": round(self.seconds, 3),
             "detail": self.detail,
         }
 
@@ -118,7 +118,7 @@ def _criterion(index: int, name: str, sweep: Optional[int] = None):
             budget = _TIME_BUDGETS[index]
             if budget is not None and elapsed >= budget:
                 ok = False
-                detail += f"; exceeded the {budget:.0f}s budget"
+                detail += f"; exceeded the {budget}s budget"
             return CriterionResult(index=index, name=name, passed=ok, seconds=elapsed, detail=detail)
 
         criterion.__name__, criterion.__qualname__, criterion.__doc__ = body.__name__, body.__qualname__, body.__doc__
@@ -146,7 +146,7 @@ def _random_sl2(rng: Random) -> ExactMatrix:
     m = ExactMatrix.identity(2)
     for _ in range(rng.randint(1, 4)):
         k = rng.randint(-3, 3)
-        if rng.random() < 0.5:
+        if rng.randrange(2):
             shear = ExactMatrix([[1, k], [0, 1]])
         else:
             shear = ExactMatrix([[1, 0], [k, 1]])

@@ -480,7 +480,7 @@ def row_reduce(rows: Iterable[Mapping[int, GaussianRational]]) -> int:
 
 
 class ExactMatrix(_Record):
-    """A dense matrix over Q(i) supporting exact rank, determinant and powers."""
+    """A dense matrix over Q(i) supporting exact rank and determinant."""
 
     __slots__ = ("rows",)
 
@@ -556,20 +556,6 @@ class ExactMatrix(_Record):
                 for rb in other.rows
             )
         )
-
-    def __pow__(self, exponent: int) -> "ExactMatrix":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("matrix powers need a non-negative integer exponent")
-        if self.nrows != self.ncols:
-            raise ValueError("powers of a non-square matrix")
-        out = ExactMatrix.identity(self.nrows)
-        base = self
-        while exponent:
-            if exponent & 1:
-                out = out * base
-            base = base * base
-            exponent >>= 1
-        return out
 
     def rank(self) -> int:
         return row_reduce({c: v for c, v in enumerate(row) if v} for row in self.rows)

@@ -6,6 +6,8 @@ counts and time budgets live in the acceptance module itself, so the
 full criteria run here, not reduced stand-ins.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from ncmoduli import acceptance
@@ -47,6 +49,17 @@ def test_criterion_7():
 
 def test_criterion_8():
     _check(acceptance.criterion_8())
+
+
+def test_a_criterion_over_its_budget_fails(monkeypatch):
+    # a clock that reads 0 and then 61: criterion 5 takes 61 s of its 60
+    assert acceptance._TIME_BUDGETS[5] == 60
+    monkeypatch.setattr(acceptance, "time", SimpleNamespace(perf_counter=iter((0, 61)).__next__))
+    result = acceptance.criterion_5()
+    assert not result.passed
+    assert result.detail.endswith("match the frozen sequence and the oracle; exceeded the 60s budget")
+    assert result.seconds == 61
+    assert result.line() == f"criterion 5 [FAIL] graded dimensions: {result.detail}"
 
 
 def test_non_positive_sample_sizes_raise():

@@ -2,19 +2,22 @@
 
 import json
 import os
-import re
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import product
+from functools import partial
+from itertools import count, product
 from pathlib import Path
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
+from ncmoduli import acceptance, potential, quintuple
 from ncmoduli.cli import main
 from ncmoduli.elliptic import TRANSLATION_NAMES, apply_group_element, random_configuration
-from ncmoduli.exact import scalar_to_json
+from ncmoduli.errors import DomainError
+from ncmoduli.exact import GaussianRational, scalar_to_json
 
 CLASSICAL = [
     {"cycle": ["a1", "b1", "a2", "b2"], "coeff": "1"},
@@ -57,14 +60,6 @@ def test_classify_potential_classical(tmp_path, capsys):
         "weights": [1, 2, 3, 4],
         "coords": ["2", "1", "1/2", "1/4"],
     }
-
-
-def test_output_is_byte_deterministic(tmp_path, capsys):
-    src = _write(tmp_path, "phi.json", CLASSICAL)
-    _, first = _run(capsys, ["classify-potential", "-i", src])
-    _, second = _run(capsys, ["classify-potential", "-i", src])
-    assert first == second
-    assert first.endswith("\n")
 
 
 def test_hilbert_series(tmp_path, capsys):
@@ -165,10 +160,6 @@ LOADING_CASES = [
 ]
 
 
-def _untimed(out):
-    return re.sub(r"\(\d+\.\d+s\)", "", out)
-
-
 @pytest.mark.parametrize(
     "argv, doc, modules", LOADING_CASES, ids=[" ".join(a for a in c[0] if a[0].isalpha()) for c in LOADING_CASES]
 )
@@ -185,11 +176,38 @@ def test_subcommand_loads_only_its_modules(tmp_path, capsys, argv, doc, modules)
     result = subprocess.run([sys.executable, "-c", script], env=_source_env(), capture_output=True, timeout=60)
     assert json.loads(result.stderr.splitlines()[-1]) == modules
     # the same exit code and bytes as a run in this process, where every
-    # module may already be loaded; acceptance lines carry their timings
+    # module may already be loaded
     assert result.returncode == 0
     code, out = _run(capsys, argv)
     assert code == 0
-    assert _untimed(out) == _untimed(result.stdout.decode())
+    assert out == result.stdout.decode()
+
+
+# every subcommand as in LOADING_CASES, and acceptance as a table and as JSON
+DETERMINISM_CASES = [case[:2] for case in LOADING_CASES if case[0][0] != "acceptance"] + [
+    (["acceptance", "--samples", "5"], None),
+    (["acceptance", "--samples", "5", "--json"], None),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    DETERMINISM_CASES,
+    ids=[" ".join(a for a in c[0] if a[0].isalpha() or a == "--json") for c in DETERMINISM_CASES],
+)
+def test_output_is_byte_deterministic(tmp_path, capsys, monkeypatch, argv, doc):
+    if doc is not None:
+        argv = argv + [_write(tmp_path, "doc.json", doc)]
+    outputs = []
+    for step in (0.5, 2.0):
+        # acceptance times each criterion by this clock: every criterion
+        # takes 0.5 s in the first run and 2 s in the second
+        monkeypatch.setattr(acceptance, "time", SimpleNamespace(perf_counter=partial(next, count(0, step))))
+        code, out = _run(capsys, argv)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].endswith("\n")
 
 
 def test_unstable_potential_has_no_weighted_point(tmp_path, capsys):
@@ -473,7 +491,7 @@ def _mutated(rng, doc):
 
 
 def _check_contract(capsys, argv):
-    """The exit code of argv after checking the CLI contract on its output."""
+    """The exit code and stdout of argv after checking the CLI contract on its output."""
     code = main(argv)
     captured = capsys.readouterr()
     assert code in (0, 2, 3), argv
@@ -481,11 +499,11 @@ def _check_contract(capsys, argv):
         prefix = "input error: " if code == 2 else "domain error: "
         assert captured.out == "", argv
         assert captured.err.startswith(prefix) and captured.err.count("\n") == 1 and captured.err.endswith("\n"), argv
-        return code
+        return code, captured.out
     assert captured.err == "", argv
     json.loads(captured.out)
     assert main(argv) == 0 and capsys.readouterr() == (captured.out, ""), argv
-    return code
+    return code, captured.out
 
 
 def test_elliptic_commands_keep_the_contract_on_mutated_documents(tmp_path, capsys):
@@ -513,12 +531,165 @@ def test_elliptic_commands_keep_the_contract_on_mutated_documents(tmp_path, caps
             argv = ["elliptic", "orbit-test", "-i", _write(tmp_path, f"orbit{k}.json", pair)]
             if rng.random() < 0.5:
                 argv.append("--include-involution")
-        code = _check_contract(capsys, argv)
+        code, _ = _check_contract(capsys, argv)
         # a malformed document is refused as input whatever else is wrong
         assert code == 2 or kind not in _MALFORMED, argv
         seen.add((argv[1], kind, code))
     # every command meets every kind of fault, and every exit code occurs
     assert {(command, kind) for command, kind, _ in seen} >= set(product(("check", "orbit-test"), _FAULTS))
+    assert {code for _, _, code in seen} == {0, 2, 3}
+
+
+# -- the contract of the potential and tensor commands on a seeded sweep --
+
+DOCUMENT_COMMANDS = ("classify-potential", "map-potential", "classify-quintuple")
+# the faults of a potential or tensor document: "rewritten" writes the same
+# value another way, the next five make the document malformed, and the
+# last two leave it well formed outside the domain; a tensor has no words
+_DOCUMENT_MALFORMED = ("float", "exponent", "zero-denominator", "missing", "wrong-type")
+_DOCUMENT_FAULTS = ("none", "rewritten") + _DOCUMENT_MALFORMED + ("zero", "bad-word")
+
+
+def _faults(command):
+    return _DOCUMENT_FAULTS[:-1] if command == "classify-quintuple" else _DOCUMENT_FAULTS
+
+
+def _random_rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.randrange(2) else Fraction(0)
+
+
+def _potential_case(rng):
+    """A random nonzero symmetric matrix N and the document of its potential."""
+    rows = [[0] * 4 for _ in range(4)]
+    while not any(map(any, rows)):
+        for r in range(4):
+            for c in range(r, 4):
+                rows[r][c] = rows[c][r] = _random_rational(rng)
+    n = potential.SymmetricPotentialMatrix(rows)
+    terms = potential.sym_matrix_to_potential(n).terms
+    return n, [{"cycle": list(word), "coeff": str(c)} for word, c in sorted(terms.items())]
+
+
+def _random_scalar(rng):
+    """A random rational, with an imaginary part one time in four."""
+    return GaussianRational(_random_rational(rng), _random_rational(rng) if rng.randrange(4) == 0 else 0)
+
+
+def _tensor_case(rng):
+    """A random tensor and its document."""
+    entries = [[[[_random_scalar(rng) for _ in range(2)] for _ in range(2)] for _ in range(2)] for _ in range(2)]
+    q = quintuple.Quintuple(entries)
+    return q, q.to_json()
+
+
+def _rewritten(literal):
+    """The same scalar with its numerator and denominator doubled."""
+    if isinstance(literal, dict):
+        return {part: _rewritten(v) for part, v in literal.items()}
+    value = Fraction(literal)
+    return f"{2 * value.numerator}/{2 * value.denominator}"
+
+
+def _mutated_document(rng, command, doc):
+    """(kind, doc) with at most one fault put into a potential or tensor document."""
+    doc = json.loads(json.dumps(doc))
+    kind = rng.choice(_faults(command))
+    if command == "classify-quintuple":
+        holder, key = doc[rng.randrange(2)][rng.randrange(2)][rng.randrange(2)], rng.randrange(2)
+        leaves = [(c, l) for a in doc for b in a for c in b for l in range(2)]
+    else:
+        holder, key = rng.choice(doc), "coeff"
+        leaves = [(term, "coeff") for term in doc]
+    if kind == "rewritten":
+        holder[key] = _rewritten(holder[key])
+        if key == "coeff":
+            # a cyclic word read from another arrow
+            shift = rng.randint(1, 3)
+            holder["cycle"] = holder["cycle"][shift:] + holder["cycle"][:shift]
+    elif kind == "float":
+        holder[key] = rng.choice((0.5, -2.0, 1.0))
+    elif kind == "exponent":
+        holder[key] = "1e3"
+    elif kind == "zero-denominator":
+        holder[key] = "1/0"
+    elif kind == "missing":
+        del holder[rng.choice(("cycle", "coeff")) if key == "coeff" else key]
+    elif kind == "wrong-type":
+        holder[key] = rng.choice((3, True, None, ["1"]))
+    elif kind == "zero":
+        for node, leaf in leaves:
+            node[leaf] = "0"
+    elif kind == "bad-word":
+        cycle = holder["cycle"]
+        holder["cycle"] = rng.choice((cycle[:-1], cycle[:2] + ["c1"] + cycle[3:], []))
+    return kind, doc
+
+
+def _weighted_point_or_none(fn, value):
+    try:
+        return fn(value).to_json()
+    except DomainError:
+        return None
+
+
+def _classify_potential(n):
+    return {
+        "f": potential.invariants_potential(n).to_json(),
+        "stability": potential.classify_stability_potential(n),
+        "weighted_point": _weighted_point_or_none(potential.weighted_point_potential, n),
+        "matrix": n.to_json(),
+    }
+
+
+def _map_potential(n):
+    image = potential.potential_to_quintuple(n)
+    return {
+        "matrix": n.to_json(),
+        "quintuple": image.to_json(),
+        "quintuple_invariants": quintuple.invariants(image).to_json(),
+        "covering_identities_ok": potential.verify_covering_identities(n),
+    }
+
+
+def _classify_quintuple(q):
+    geometric, slot = quintuple.is_geometric(q)
+    return {
+        "invariants": quintuple.invariants(q).to_json(),
+        "stability": quintuple.classify_stability(q),
+        "weighted_point": _weighted_point_or_none(quintuple.weighted_point, q),
+        "geometric": geometric,
+        "failing_slot": slot,
+    }
+
+
+# the document each command prints, from the library's own answers
+_LIBRARY_ANSWERS = {
+    "classify-potential": _classify_potential,
+    "map-potential": _map_potential,
+    "classify-quintuple": _classify_quintuple,
+}
+
+
+def test_potential_and_tensor_commands_keep_the_contract_on_mutated_documents(tmp_path, capsys):
+    rng = Random(65)
+    seen = set()
+    for k in range(300):
+        command = DOCUMENT_COMMANDS[k % 3]
+        value, doc = (_tensor_case if command == "classify-quintuple" else _potential_case)(rng)
+        kind, doc = _mutated_document(rng, command, doc)
+        argv = [command, "-i", _write(tmp_path, f"doc{k}.json", doc)]
+        code, out = _check_contract(capsys, argv)
+        if kind in _DOCUMENT_MALFORMED:
+            assert code == 2, argv
+        elif kind in ("zero", "bad-word"):
+            assert code == 3, argv
+        else:
+            # the value itself, however it is written, is in the domain
+            assert code == 0, argv
+            assert json.loads(out) == _LIBRARY_ANSWERS[command](value), argv
+        seen.add((command, kind, code))
+    # every command meets every kind of fault, and every exit code occurs
+    assert {(command, kind) for command, kind, _ in seen} == {(c, kind) for c in DOCUMENT_COMMANDS for kind in _faults(c)}
     assert {code for _, _, code in seen} == {0, 2, 3}
 
 

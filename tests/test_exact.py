@@ -364,13 +364,15 @@ def test_power_traces_match_explicit_powers():
     rng = Random(110)
     for n in (1, 2, 3, 4, 5):
         m = _random_matrix(rng, n)
+        traces, power = [], m
+        for _ in range(6):
+            traces.append(power.trace())
+            power = power * m
         for k in range(7):
-            assert m.power_traces(k) == [(m ** j).trace() for j in range(1, k + 1)]
+            assert m.power_traces(k) == traces[:k]
     wide = ExactMatrix([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
         wide.power_traces(2)
-    with pytest.raises(ValueError):
-        wide ** 2
 
 
 def _inverse(m):
@@ -393,8 +395,6 @@ def test_matrix_algebra_basics():
     b = ExactMatrix([[0, 1], [1, 0]])
     assert (a * b).transpose() == b.transpose() * a.transpose()
     assert a.trace() == 5
-    assert (a ** 0) == ExactMatrix.identity(2)
-    assert (a ** 3) == a * a * a
     with pytest.raises(ValueError):
         ExactMatrix([[1, 2], [3]])
 

@@ -1,10 +1,10 @@
-"""The package computes exactly: no module but ``acceptance.py`` uses floats.
+"""The package computes exactly: no module uses floats.
 
 Like ``test_unused_imports.py`` this walks the syntax trees with ``ast``.
 A module fails when it holds a float or complex literal, a ``float(...)``
-or ``complex(...)`` call, or an import of ``cmath``.  ``acceptance.py`` is
-exempt: its time budgets and measured seconds are floats.  Nor does a
-float or a string get in through an argument: every entry point that
+or ``complex(...)`` call, or an import of ``cmath``.  ``acceptance.py``
+keeps its time budgets in whole seconds and prints no wall time.  Nor
+does a float or a string get in through an argument: every entry point that
 takes a rational accepts an int or a ``Fraction`` and raises
 ``TypeError`` for anything else, and ``counting_report``, ``count_points``
 and the prime-field scalars and their modulus take ints.
@@ -23,7 +23,6 @@ from ncmoduli.quintuple import Quintuple
 from ncmoduli.quiver import CyclicPotential, conifold_potential, conifold_quiver
 
 PACKAGE = Path(ncmoduli.__file__).parent
-EXEMPT = {"acceptance.py"}
 
 
 def _float_uses(tree):
@@ -40,12 +39,9 @@ def _float_uses(tree):
 
 
 def test_no_module_uses_floats():
-    modules = sorted(PACKAGE.glob("*.py"))
-    assert EXEMPT <= {path.name for path in modules}
     found = [
         f"{path.name}:{line}: {what}"
-        for path in modules
-        if path.name not in EXEMPT
+        for path in sorted(PACKAGE.glob("*.py"))
         for line, what in _float_uses(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == []
