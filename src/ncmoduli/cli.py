@@ -13,6 +13,7 @@ the sizes of the sampled sweeps, are options of ``acceptance``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -91,7 +92,7 @@ def _configuration_parts(doc):
         if not isinstance(coords, list) or len(coords) != 3:
             raise SchemaError(f"{key} must be a list of three scalars")
         points.append([scalar_from_json(c) for c in coords])
-    return LambdaPair.from_affine(lam), EllPoint.make(*points[0]), EllPoint.make(*points[1])
+    return LambdaPair.from_affine(lam), EllPoint(*points[0]), EllPoint(*points[1])
 
 
 def _cmd_classify_quintuple(args) -> int:
@@ -304,9 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process (a build takes about a millisecond); parsing leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except SchemaError as exc:

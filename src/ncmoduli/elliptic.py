@@ -25,16 +25,16 @@ configurations, builds its images through ``_unchecked``, which skips the
 check: each generator maps the curve over a parameter onto the curve over
 the image parameter, as ``verify_equation_preservation`` proves.  An
 orbit search builds up to 192 images, and checking each would about
-double its cost.  For the same loop, only the ``EllPoint`` constructor
-sets its fields one by one, since every image point passes through it;
-the three classes take equality and hashing from ``exact._Record``.
+double its cost.  For the same loop, ``_point`` writes the slots of an
+image point directly; the three classes take equality and hashing from
+``exact._Record``.
 
 Equality of points is literal field equality after a canonical
 projective normalization, so orbit search is an exact finite
-enumeration.  One normalizer, ``_normalized``, writes every point, for
-``EllPoint.make`` and for each generator image, with one reduction per
-coordinate it computes; reduced triples are unique, so no exact
-normalization stores other coordinates.
+enumeration.  One normalizer, ``_normalized``, computes the coordinates
+of every point, in the ``EllPoint`` constructor and for each generator
+image, with one reduction per coordinate it computes; reduced triples
+are unique, so no exact normalization stores other coordinates.
 """
 
 from __future__ import annotations
@@ -90,39 +90,42 @@ class LambdaPair(_Record):
 class EllPoint(_Record):
     """A curve point (X : Y : Z), weight (1, 1, 2), canonically normalized.
 
-    The first nonzero of X and Y is 1 and Z is scaled to match, or the
-    point is (0 : 0 : 1).  Build points with ``make``: the constructor
-    stores its coordinates as given.
+    The constructor coerces its coordinates and normalizes them: the
+    first nonzero of X and Y becomes 1 and Z is scaled to match, or the
+    point is (0 : 0 : 1).  (0 : 0 : 0) raises ``DomainError``.
     """
 
     __slots__ = ("x", "y", "z")
 
-    def __init__(self, x: GaussianRational, y: GaussianRational, z: GaussianRational):
-        # every generator image is a new point, up to 864 in one orbit search,
-        # and three direct calls take about 40 % less time than ``_assign``
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
-
-    @classmethod
-    def make(cls, x: ScalarLike, y: ScalarLike, z: ScalarLike) -> "EllPoint":
-        """(x : y : z) with its first nonzero weight-1 coordinate set to 1; ``DomainError`` for (0 : 0 : 0)."""
-        return _normalized(GaussianRational.coerce(x), GaussianRational.coerce(y), GaussianRational.coerce(z))
+    def __init__(self, x: ScalarLike, y: ScalarLike, z: ScalarLike):
+        coerce = GaussianRational.coerce
+        self._assign(*_normalized(coerce(x), coerce(y), coerce(z))._fields)
 
     def flipped(self) -> "EllPoint":
         """The hyperelliptic involution Z -> -Z."""
-        return EllPoint(self.x, self.y, -self.z)
+        return _point(self.x, self.y, -self.z)
+
+
+def _point(x: GaussianRational, y: GaussianRational, z: GaussianRational) -> EllPoint:
+    """The point on coordinates that are already normalized, without the constructor."""
+    # every generator image is a new point, up to 864 in one orbit search,
+    # and three direct calls take about 40 % less time than ``_assign``
+    pt = object.__new__(EllPoint)
+    object.__setattr__(pt, "x", x)
+    object.__setattr__(pt, "y", y)
+    object.__setattr__(pt, "z", z)
+    return pt
 
 
 def _normalized(x: GaussianRational, y: GaussianRational, z: GaussianRational) -> EllPoint:
     """(x : y : z) as (1 : y/x : z/x^2), (0 : 1 : z/y^2) or (0 : 0 : 1), one reduction per quotient."""
     if not x.is_zero():
-        return EllPoint(_ONE, _over_power(y, x, 1), _over_power(z, x, 2))
+        return _point(_ONE, _over_power(y, x, 1), _over_power(z, x, 2))
     if not y.is_zero():
-        return EllPoint(_ZERO, _ONE, _over_power(z, y, 2))
+        return _point(_ZERO, _ONE, _over_power(z, y, 2))
     if z.is_zero():
         raise DomainError("(0 : 0 : 0) is not a point")
-    return EllPoint(_ZERO, _ZERO, _ONE)
+    return _point(_ZERO, _ZERO, _ONE)
 
 
 def curve_rhs(l0, l1, x, y):
@@ -205,7 +208,7 @@ def make_configuration(
     pair = LambdaPair.from_affine(lam)
     if len(p1) != 3 or len(p2) != 3:
         raise DomainError("points need three coordinates")
-    return EllipticConfiguration(pair, EllPoint.make(*p1), EllPoint.make(*p2))
+    return EllipticConfiguration(pair, EllPoint(*p1), EllPoint(*p2))
 
 
 def is_admissible(cfg: EllipticConfiguration) -> bool:
@@ -308,7 +311,7 @@ def point_multiple(
         if nxt is None:
             return None
         acc = nxt
-    return EllPoint.make(acc[0], 1, acc[1])
+    return EllPoint(acc[0], 1, acc[1])
 
 
 def random_curve_point(rng: Random) -> Tuple[Fraction, EllPoint]:
@@ -325,7 +328,7 @@ def random_curve_point(rng: Random) -> Tuple[Fraction, EllPoint]:
         lam = x - z * z / (x * (x - 1))
         if lam == 0 or lam == 1:
             continue
-        return lam, EllPoint.make(x, 1, z)
+        return lam, EllPoint(x, 1, z)
 
 
 def random_configuration(rng: Random) -> EllipticConfiguration:

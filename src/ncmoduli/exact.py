@@ -322,7 +322,7 @@ class _Record:
     A record may have one field (``ExactMatrix.rows``), and one whose
     fields hold a dict sets ``__hash__ = None``.  The one rule: a class
     writes its own equality only when it equals plain numbers, as
-    ``GaussianRational``, ``PrimeFieldElement`` and ``_Poly`` do.
+    ``GaussianRational`` and ``_Poly`` do.
     """
 
     __slots__ = ()
@@ -415,10 +415,10 @@ class PrimeFieldElement(_Record):
     """A scalar of F_p, for a prime p: ``value`` reduced mod p, and ``p``.
 
     It carries no arithmetic: the point counts work on ints, and
-    ``dtcount.FramedRep`` reads ``value``.  It equals the ints congruent
-    to it, so it keeps its own equality and hash; the record base makes
-    its fields read-only.  A value or modulus that is not an int (a
-    float, say) raises ``TypeError``.
+    ``dtcount.FramedRep`` reads ``value``.  As a record it equals only an
+    element with the same ``(value, p)``, never an int; compare
+    ``value`` to compare with one.  A value or modulus that is not an int
+    (a float, say) raises ``TypeError``.
     """
 
     __slots__ = ("value", "p")
@@ -428,19 +428,6 @@ class PrimeFieldElement(_Record):
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self._assign(index(value) % p, p)
-
-    def __eq__(self, other):
-        if isinstance(other, PrimeFieldElement):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.value))
-
-    def __bool__(self):
-        return self.value != 0
 
     def __repr__(self):
         return f"{self.value} (mod {self.p})"

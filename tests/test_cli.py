@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ncmoduli import acceptance, potential, quintuple
+from ncmoduli import acceptance, dtcount, potential, quintuple, quiver
 from ncmoduli.cli import main
 from ncmoduli.elliptic import TRANSLATION_NAMES, apply_group_element, random_configuration
 from ncmoduli.errors import DomainError
@@ -590,10 +590,9 @@ def _rewritten(literal):
     return f"{2 * value.numerator}/{2 * value.denominator}"
 
 
-def _mutated_document(rng, command, doc):
-    """(kind, doc) with at most one fault put into a potential or tensor document."""
+def _mutated_document(rng, command, doc, kind):
+    """A copy of a potential or tensor document with the fault ``kind`` put into it."""
     doc = json.loads(json.dumps(doc))
-    kind = rng.choice(_faults(command))
     if command == "classify-quintuple":
         holder, key = doc[rng.randrange(2)][rng.randrange(2)][rng.randrange(2)], rng.randrange(2)
         leaves = [(c, l) for a in doc for b in a for c in b for l in range(2)]
@@ -622,7 +621,7 @@ def _mutated_document(rng, command, doc):
     elif kind == "bad-word":
         cycle = holder["cycle"]
         holder["cycle"] = rng.choice((cycle[:-1], cycle[:2] + ["c1"] + cycle[3:], []))
-    return kind, doc
+    return doc
 
 
 def _weighted_point_or_none(fn, value):
@@ -676,7 +675,8 @@ def test_potential_and_tensor_commands_keep_the_contract_on_mutated_documents(tm
     for k in range(300):
         command = DOCUMENT_COMMANDS[k % 3]
         value, doc = (_tensor_case if command == "classify-quintuple" else _potential_case)(rng)
-        kind, doc = _mutated_document(rng, command, doc)
+        kind = rng.choice(_faults(command))
+        doc = _mutated_document(rng, command, doc, kind)
         argv = [command, "-i", _write(tmp_path, f"doc{k}.json", doc)]
         code, out = _check_contract(capsys, argv)
         if kind in _DOCUMENT_MALFORMED:
@@ -690,6 +690,96 @@ def test_potential_and_tensor_commands_keep_the_contract_on_mutated_documents(tm
         seen.add((command, kind, code))
     # every command meets every kind of fault, and every exit code occurs
     assert {(command, kind) for command, kind, _ in seen} == {(c, kind) for c in DOCUMENT_COMMANDS for kind in _faults(c)}
+    assert {code for _, _, code in seen} == {0, 2, 3}
+
+
+# -- the contract of hilbert and dt-count on a seeded sweep --------------
+
+COUNT_COMMANDS = ("hilbert", "dt-count")
+# besides the document faults, each command meets faults in its options:
+# the first three of dt-count are malformed, the others well formed outside
+# the domain; "zero", a document with every coefficient 0, is in the domain here
+_OPTION_FAULTS = {
+    "hilbert": ("length", "vertex"),
+    "dt-count": ("prime-list", "theta-parts", "theta-literal", "not-prime", "too-few", "prime-bound", "chamber"),
+}
+_OPTION_MALFORMED = ("prime-list", "theta-parts", "theta-literal")
+_THETAS = ("-1,-1,2", "-1/2,-1/2,1", " -1, -1, 2", "1,1,-2")
+
+
+def _count_faults(command):
+    return _DOCUMENT_FAULTS + _OPTION_FAULTS[command]
+
+
+def _count_case(rng):
+    """A random homogeneous potential of degree 2, 4 or 6, and its document."""
+    terms, length = {}, 2 * rng.randint(1, 3)
+    for _ in range(rng.randint(1, 4)):
+        # a-arrows and b-arrows alternate around a cycle of the conifold quiver
+        word = tuple(rng.choice(("a1", "a2") if k % 2 == 0 else ("b1", "b2")) for k in range(length))
+        terms[word] = Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 5)))
+    return terms, [{"cycle": list(word), "coeff": str(c)} for word, c in terms.items()]
+
+
+def _count_options(rng, command, kind):
+    """The options of one run, with the fault ``kind`` when it is an option fault, and the
+    library's own answer as a function of the potential, for the runs that succeed."""
+    if command == "hilbert":
+        vertices = [rng.choice(("v0", "v1")) for _ in range(2)]
+        length = rng.choice((-1, 9, 12)) if kind == "length" else rng.randint(0, 6)
+        if kind == "vertex":
+            vertices[rng.randrange(2)] = rng.choice(("v2", "a1", ""))
+        options = ["--max-length", str(length), "--source", vertices[0], "--target", vertices[1]]
+        return options, lambda phi: {"dims": quiver.graded_dimension(phi, *vertices, length)}
+    primes = [str(p) for p in rng.sample((2, 3, 5, 7), 4)]
+    theta = rng.choice(_THETAS)
+    if kind == "prime-list":
+        primes[rng.randrange(4)] = rng.choice(("x", "2.5", "1/2"))
+    elif kind == "not-prime":
+        primes[rng.randrange(4)] = rng.choice(("0", "1", "4", "-3"))
+    elif kind == "too-few":
+        primes = primes[:3]
+    elif kind == "prime-bound":
+        primes[rng.randrange(4)] = rng.choice(("37", "101"))
+    elif kind == "theta-parts":
+        theta = rng.choice(("-1,2", "-1,-1,2,0", ""))
+    elif kind == "theta-literal":
+        theta = rng.choice(("1e3,-1,2", "-1,1/0,2", "-1,-1,2.0.0", "-1,-1,x"))
+    elif kind == "chamber":
+        theta = rng.choice(("-2,1,1", "-4,2,2"))
+
+    def answer(phi):
+        stability = dtcount.StabilityParameter(*map(Fraction, theta.split(",")))
+        return dtcount.counting_report(phi, stability, list(map(int, primes))).to_json()
+
+    return ["--primes=" + ",".join(primes), "--theta=" + theta], answer
+
+
+def test_hilbert_and_dt_count_keep_the_contract_on_mutated_inputs(tmp_path, capsys):
+    rng = Random(66)
+    seen = set()
+    for k in range(300):
+        command = COUNT_COMMANDS[k % 2]
+        kind = rng.choice(_count_faults(command))
+        terms, doc = _count_case(rng)
+        if kind in _DOCUMENT_FAULTS:
+            doc = _mutated_document(rng, command, doc, kind)
+        options, answer = _count_options(rng, command, kind)
+        path = _write(tmp_path, f"phi{k}.json", doc)
+        argv = [command, "-i" if command == "hilbert" else "--potential", path] + options
+        code, out = _check_contract(capsys, argv)
+        if kind in _DOCUMENT_MALFORMED + _OPTION_MALFORMED:
+            assert code == 2, argv
+        elif kind in ("none", "rewritten", "zero"):
+            # the potential itself, however it is written, is in the domain
+            assert code == 0, argv
+            value = {word: 0 for word in terms} if kind == "zero" else terms
+            assert json.loads(out) == answer(quiver.CyclicPotential(quiver.conifold_quiver(), value)), argv
+        else:
+            assert code == 3, argv
+        seen.add((command, kind, code))
+    # every command meets every kind of fault, and every exit code occurs
+    assert {(command, kind) for command, kind, _ in seen} == {(c, kind) for c in COUNT_COMMANDS for kind in _count_faults(c)}
     assert {code for _, _, code in seen} == {0, 2, 3}
 
 

@@ -75,11 +75,24 @@ def test_lambda_pair_validation():
 
 
 def test_point_normalization():
-    assert EllPoint.make(2, 4, 8) == EllPoint.make(1, 2, 2)
-    assert EllPoint.make(0, 3, 9) == EllPoint.make(0, 1, 1)
-    assert EllPoint.make(0, 0, 5) == EllPoint.make(0, 0, 1)
+    assert EllPoint(2, 4, 8) == EllPoint(1, 2, 2)
+    assert EllPoint(0, 3, 9) == EllPoint(0, 1, 1)
+    assert EllPoint(0, 0, 5) == EllPoint(0, 0, 1)
+    # the constructor stores the normalized coordinates, as GaussianRational
+    pt = EllPoint(2, 4, Fraction(8, 3))
+    assert (pt.x, pt.y, pt.z) == (1, 2, Fraction(2, 3))
+    assert all(isinstance(c, GaussianRational) for c in (pt.x, pt.y, pt.z))
     with pytest.raises(DomainError):
-        EllPoint.make(0, 0, 0)
+        EllPoint(0, 0, 0)
+
+
+def test_no_configuration_holds_the_zero_triple():
+    pair = LambdaPair.from_affine(Fraction(2))
+    for zero in (0, Fraction(0), GaussianRational(0)):
+        with pytest.raises(DomainError, match=r"\(0 : 0 : 0\) is not a point"):
+            EllipticConfiguration(pair, EllPoint(zero, zero, zero), EllPoint(1, 0, 0))
+    with pytest.raises(DomainError, match=r"\(0 : 0 : 0\) is not a point"):
+        make_configuration(Fraction(2), (1, 0, 0), (0, 0, 0))
 
 
 # -- a reference normalization on (re, im) pairs of Fractions ----------
@@ -123,9 +136,17 @@ def _random_pair(rng, height):
     return re, Fraction(rng.randint(-height, height), rng.randint(1, height))
 
 
+def _plain(pair, k):
+    """A coordinate as the constructor may receive it: an int, a Fraction or a GaussianRational."""
+    re, im = pair
+    if im or k % 2:
+        return GaussianRational(re, im)
+    return int(re) if re.denominator == 1 and k % 3 else re
+
+
 def test_point_normalization_matches_a_fraction_pair_reference():
     rng = Random(62)
-    refused = 0
+    seen = set()
     for k in range(1500):
         height = (3, 40, 10 ** 9, 10 ** 40)[k % 4]
         coords = [_random_pair(rng, height) for _ in range(3)]
@@ -136,17 +157,24 @@ def test_point_normalization_matches_a_fraction_pair_reference():
         if k % 105 == 0:
             coords[2] = (Fraction(0), Fraction(0))
         expected = _reference_normalization(*coords)
-        # real coordinates also go in as plain Fractions, as make coerces them
-        values = [GaussianRational(*c) if c[1] or k % 2 else c[0] for c in coords]
+        # real coordinates also go in as plain ints or Fractions, which the constructor coerces
+        values = [_plain(c, k) for c in coords]
+        seen.update(type(v).__name__ for v in values)
         if expected is None:
-            refused += 1
+            seen.add("(0 : 0 : 0)")
             with pytest.raises(DomainError, match=r"\(0 : 0 : 0\) is not a point"):
-                EllPoint.make(*values)
+                EllPoint(*values)
             continue
-        pt = EllPoint.make(*values)
+        # the inputs that are not normalized already, and x = y = 0
+        x, y = coords[0], coords[1]
+        if x != (0, 0):
+            seen.add("x != 1" if x != (1, 0) else "x = 1")
+        else:
+            seen.add("x = y = 0" if y == (0, 0) else "x = 0, y != 1" if y != (1, 0) else "x = 0, y = 1")
+        pt = EllPoint(*values)
         got = [(c._a, c._b, c._d) for c in (pt.x, pt.y, pt.z)]
         assert got == [_canonical_triple(c) for c in expected], coords
-    assert refused > 0
+    assert seen >= {"int", "Fraction", "GaussianRational", "(0 : 0 : 0)", "x != 1", "x = 0, y != 1", "x = y = 0"}
 
 
 def test_normalizing_a_point_reduces_once_per_coordinate(count_calls):
@@ -155,13 +183,13 @@ def test_normalizing_a_point_reduces_once_per_coordinate(count_calls):
     y = GaussianRational(Fraction(-7, 4), Fraction(1, 9))
     z = GaussianRational(3, Fraction(-2, 5))
     # y/x and z/x^2: one reduction each, and none for the leading 1
-    EllPoint.make(x, y, z)
+    EllPoint(x, y, z)
     assert len(calls) <= 2
     calls.clear()
-    EllPoint.make(0, y, z)
+    EllPoint(0, y, z)
     assert len(calls) <= 1
     calls.clear()
-    EllPoint.make(0, 0, z)
+    EllPoint(0, 0, z)
     assert calls == []
 
 
@@ -171,8 +199,8 @@ def test_two_torsion_lies_on_curve():
         lam, _ = random_curve_point(rng)
         pair = LambdaPair.from_affine(lam)
         # the four Z = 0 points: the branch locus of the double cover
-        for pt in (EllPoint.make(1, 0, 0), EllPoint.make(0, 1, 0), EllPoint.make(1, 1, 0),
-                   EllPoint.make(pair.l0, pair.l1, 0)):
+        for pt in (EllPoint(1, 0, 0), EllPoint(0, 1, 0), EllPoint(1, 1, 0),
+                   EllPoint(pair.l0, pair.l1, 0)):
             assert on_curve(pair, pt)
             assert pt.z.is_zero()
 
@@ -200,10 +228,10 @@ def test_translations_are_involutions_and_compose():
 
 def test_translation_images_of_the_origin():
     pair = LambdaPair.from_affine(Fraction(7, 2))
-    origin = EllPoint.make(1, 0, 0)
-    assert translate(pair, origin, "t1") == EllPoint.make(pair.l0, pair.l1, 0)
-    assert translate(pair, origin, "t2") == EllPoint.make(1, 1, 0)
-    assert translate(pair, origin, "t3") == EllPoint.make(0, 1, 0)
+    origin = EllPoint(1, 0, 0)
+    assert translate(pair, origin, "t1") == EllPoint(pair.l0, pair.l1, 0)
+    assert translate(pair, origin, "t2") == EllPoint(1, 1, 0)
+    assert translate(pair, origin, "t3") == EllPoint(0, 1, 0)
     with pytest.raises(DomainError):
         translate(pair, origin, "t9")
 
@@ -225,7 +253,7 @@ def test_symmetries_preserve_membership_with_pairs():
             assert on_curve(out.lam, out.p1), (word, tr1, tr2, flip)
             assert on_curve(out.lam, out.p2), (word, tr1, tr2, flip)
     pair = LambdaPair.from_affine(Fraction(3, 4))
-    torsion = EllipticConfiguration(pair, EllPoint.make(1, 0, 0), EllPoint.make(0, 1, 0))
+    torsion = EllipticConfiguration(pair, EllPoint(1, 0, 0), EllPoint(0, 1, 0))
     assert apply_group_element(torsion, ("swap",)).lam == LambdaPair(
         GaussianRational(1), GaussianRational(Fraction(3, 4))
     )
@@ -259,9 +287,9 @@ def test_configuration_validation():
         make_configuration(Fraction(2), (1, 1, 1), (1, 0, 0))
     pair = LambdaPair.from_affine(Fraction(2))
     with pytest.raises(DomainError, match="first point"):
-        EllipticConfiguration(pair, EllPoint.make(1, 1, 1), EllPoint.make(1, 0, 0))
+        EllipticConfiguration(pair, EllPoint(1, 1, 1), EllPoint(1, 0, 0))
     with pytest.raises(DomainError, match="second point"):
-        EllipticConfiguration(pair, EllPoint.make(1, 0, 0), EllPoint.make(1, 1, 1))
+        EllipticConfiguration(pair, EllPoint(1, 0, 0), EllPoint(1, 1, 1))
     cfg = make_configuration(Fraction(2), (1, 0, 0), (0, 1, 0))
     assert not is_admissible(cfg)  # second point is 2-torsion
     with pytest.raises(DomainError):
@@ -373,6 +401,25 @@ def _undo_witness(cfg, witness):
                 out.lam, out.p1.flipped(), out.p2.flipped()
             )
     return out
+
+
+def test_orbit_search_accepts_points_written_with_scaled_coordinates():
+    # (sX : sY : s^2 Z) is the point (X : Y : Z), for every nonzero s of Q(i)
+    rng = Random(74)
+    scales = (2, -1, GaussianRational(Fraction(1, 3), 2), exact.GAUSSIAN_I, Fraction(-5, 7))
+    for k in range(10):
+        cfg = random_configuration(rng)
+        word = rng.choice(LAMBDA_WORDS)
+        tr1, tr2 = rng.choice(TRANSLATIONS), rng.choice(TRANSLATIONS)
+        image = apply_group_element(cfg, word, tr1, tr2, rng.choice((False, True)))
+        s = scales[k % len(scales)]
+        point = image.p1 if k % 2 else image.p2
+        scaled = EllPoint(s * point.x, s * point.y, s * s * point.z)
+        second = EllipticConfiguration(image.lam, *((scaled, image.p2) if k % 2 else (image.p1, scaled)))
+        found, witness = orbit_equivalent(cfg, second, include_involution=True)
+        assert found
+        assert apply_group_element(cfg, **witness) == second
+        assert scaled == point and second == image
 
 
 def test_orbit_witness_inverts_exactly():
