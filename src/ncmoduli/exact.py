@@ -70,15 +70,23 @@ class GaussianRational:
     The triple has d > 0 and gcd(a, b, d) = 1, so equal values store
     identical triples and equality is a comparison of three ints.  The
     real and imaginary parts are exposed as read-only ``Fraction``
-    properties ``re`` and ``im``.
+    properties ``re`` and ``im``.  A plain ``Fraction`` real part with an
+    int imaginary part is read straight from its numerator and
+    denominator, with no intermediate ``Fraction``.
     """
 
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: Union[int, Fraction] = 0, im: Union[int, Fraction] = 0):
-        if type(re) is int and type(im) is int:
-            self._a, self._b, self._d = re, im, 1
-            return
+        if type(im) is int:
+            if type(re) is int:
+                self._a, self._b, self._d = re, im, 1
+                return
+            if type(re) is Fraction:
+                # a reduced denominator is prime to its numerator: no gcd to take
+                d = re.denominator
+                self._a, self._b, self._d = re.numerator, im * d, d
+                return
         re = _rational(re)
         im = _rational(im)
         dr, di = re.denominator, im.denominator

@@ -113,7 +113,9 @@ class SymmetricPotentialMatrix(_Record):
         return not any(self.upper)
 
     def to_exact(self) -> ExactMatrix:
-        return ExactMatrix(self.n)
+        """N over Q(i): each upper entry is converted once, and (r, c) and (c, r) share it."""
+        g = tuple(map(GaussianRational, self.upper))
+        return ExactMatrix._wrap(tuple(tuple(g[p] for p in row) for row in _UPPER_POS))
 
     def to_json(self):
         return [[fraction_str(v) for v in row] for row in self.n]

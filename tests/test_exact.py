@@ -3,11 +3,12 @@
 import operator
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm
 from random import Random
 
 import pytest
 
+from ncmoduli import exact
 from ncmoduli.errors import SchemaError
 from ncmoduli.exact import (
     GAUSSIAN_I,
@@ -166,6 +167,53 @@ def test_gaussian_matches_fraction_pair_reference():
             _assert_matches(x.inverse(), _ref_inverse(rx))
         for k in range(-3 if any(rx) else 0, 5):
             _assert_matches(x ** k, _ref_pow(rx, k))
+
+
+def _reference_triple(re, im):
+    """The canonical (a, b, d) of re + im*i by Fraction arithmetic: d is the lcm of the denominators."""
+    re, im = Fraction(re), Fraction(im)
+    d = lcm(re.denominator, im.denominator)
+    a, b = re * d, im * d
+    assert a.denominator == b.denominator == 1
+    return a.numerator, b.numerator, d
+
+
+class _FractionSubclass(Fraction):
+    pass
+
+
+def test_construction_matches_a_fraction_reference(count_calls):
+    # a plain Fraction or int real part with an int imaginary part is read
+    # straight from numerator and denominator; it stores the same triple
+    rng = Random(333)
+    for _ in range(1200):
+        h = 10 ** rng.randint(0, 40)
+        kind = rng.randrange(5)
+        if kind <= 1:
+            re = Fraction(rng.randint(-h, h), rng.randint(1, h))
+        elif kind == 2:
+            re = Fraction(rng.randint(-h, h))
+        elif kind == 3:
+            re = Fraction(0)
+        else:
+            re = rng.randint(-h, h)
+        im = rng.choice((0, rng.randint(-h, h)))
+        g = GaussianRational(re, im)
+        assert (g._a, g._b, g._d) == _reference_triple(re, im)
+    # a Fraction subclass or a bool takes the general path, to the same value
+    general = count_calls(exact, "_rational")
+    for re, im in [
+        (_FractionSubclass(3, 4), 2),
+        (_FractionSubclass(-10 ** 40, 7), 0),
+        (True, 0),
+        (False, -7),
+        (Fraction(1, 3), True),
+    ]:
+        before = len(general)
+        g = GaussianRational(re, im)
+        assert len(general) == before + 2
+        assert (g._a, g._b, g._d) == _reference_triple(re, im)
+        assert type(g.re) is Fraction and type(g.im) is Fraction
 
 
 def test_gaussian_zero_division():

@@ -11,6 +11,7 @@ and the prime-field scalars and their modulus take ints.
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,7 @@ def test_the_guard_sees_each_use():
 ENTRY_POINTS = {
     "GaussianRational": lambda v: GaussianRational(v),
     "GaussianRational.im": lambda v: GaussianRational(1, v),
+    "GaussianRational.im, Fraction re": lambda v: GaussianRational(Fraction(1, 3), v),
     "SymmetricPotentialMatrix": lambda v: SymmetricPotentialMatrix(
         [[v if r == c == 0 else 0 for c in range(4)] for r in range(4)]
     ),

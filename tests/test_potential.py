@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from ncmoduli import potential
+from ncmoduli import exact, potential
 from ncmoduli.errors import DomainError
 from ncmoduli.exact import GaussianRational
 from ncmoduli.potential import (
@@ -50,6 +50,23 @@ def _random_symmetric(rng, span=6, maxden=5):
 def test_base_potential_matrix_is_half_pairing():
     n = potential_to_sym_matrix(conifold_potential())
     assert n.to_exact() == J_MATRIX.scale(Fraction(1, 2))
+
+
+def test_to_exact_converts_each_upper_entry_once(count_calls):
+    # ten GaussianRationals read straight from their Fractions, no _rational
+    # call, and (r, c) and (c, r) hold one object
+    calls = count_calls(exact, "_rational")
+    rng = Random(334)
+    for _ in range(50):
+        n = _random_symmetric(rng)
+        m = n.to_exact()
+        assert calls == []
+        assert (m.nrows, m.ncols) == (4, 4)
+        for r in range(4):
+            for c in range(4):
+                assert m[r, c] == n[r, c]
+                if r != c:
+                    assert m[r, c] is m[c, r]
 
 
 def _zero_heavy_symmetric(rng):
