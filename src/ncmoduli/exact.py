@@ -6,7 +6,8 @@ matrix types used throughout:
 
 * ``GaussianRational``: elements (a + b*i)/d of Q(i), stored as a
   canonical triple of ints (d > 0, gcd(a, b, d) = 1), with one gcd per
-  operation and none when a denominator is 1.
+  operation and none when a denominator is 1.  An operator reads a
+  ``GaussianRational`` operand's triple straight from its slots.
 * ``PrimeFieldElement``: the scalars of a framed representation over
   F_p, for a prime p, with no arithmetic of their own.
 * ``row_reduce``: the one elimination routine, Gaussian elimination on
@@ -109,9 +110,14 @@ class GaussianRational:
         return value if isinstance(value, GaussianRational) else GaussianRational(value)
 
     # -- arithmetic ----------------------------------------------------
-    # Each operation works on the triples and reduces at most once.
+    # Each operation works on the triples and reduces at most once.  A
+    # GaussianRational operand's triple is read from its slots, with no
+    # tuple; any other operand goes through _triple, and one that is not a
+    # scalar gets NotImplemented.
 
     def __add__(self, other):
+        if other.__class__ is GaussianRational:
+            return _sum(self._a, self._b, self._d, other._a, other._b, other._d)
         o = _triple(other)
         if o is None:
             return NotImplemented
@@ -120,6 +126,8 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if other.__class__ is GaussianRational:
+            return _sum(self._a, self._b, self._d, -other._a, -other._b, other._d)
         o = _triple(other)
         if o is None:
             return NotImplemented
@@ -133,11 +141,14 @@ class GaussianRational:
         return _sum(*o, -self._a, -self._b, self._d)
 
     def __mul__(self, other):
-        o = _triple(other)
-        if o is None:
-            return NotImplemented
+        if other.__class__ is GaussianRational:
+            c, e, f = other._a, other._b, other._d
+        else:
+            o = _triple(other)
+            if o is None:
+                return NotImplemented
+            c, e, f = o
         a, b, d = self._a, self._b, self._d
-        c, e, f = o
         return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
@@ -153,16 +164,18 @@ class GaussianRational:
         return _reduced(a * d, -b * d, n)
 
     def __truediv__(self, other):
+        if other.__class__ is GaussianRational:
+            return _quotient(self._a, self._b, self._d, other._a, other._b, other._d)
         o = _triple(other)
         if o is None:
             return NotImplemented
-        return _quotient((self._a, self._b, self._d), o)
+        return _quotient(self._a, self._b, self._d, *o)
 
     def __rtruediv__(self, other):
         o = _triple(other)
         if o is None:
             return NotImplemented
-        return _quotient(o, (self._a, self._b, self._d))
+        return _quotient(*o, self._a, self._b, self._d)
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -252,17 +265,26 @@ def _reduced(a: int, b: int, d: int) -> GaussianRational:
             a //= g
             b //= g
             d //= g
-    return _gauss(a, b, d)
+    # built here, not through _gauss: about 1,000 reductions run per covering op
+    r = _new_object(GaussianRational)
+    r._a = a
+    r._b = b
+    r._d = d
+    return r
 
 
 def _triple(value):
-    """The canonical triple of a scalar operand, or None for other types."""
-    if isinstance(value, GaussianRational):
-        return value._a, value._b, value._d
+    """The canonical triple of a scalar operand, or None for other types.
+
+    The operators read a GaussianRational's slots themselves; only an
+    instance of a subclass reaches the last branch.
+    """
     if isinstance(value, int):
         return value, 0, 1
     if isinstance(value, Fraction):
         return value.numerator, 0, value.denominator
+    if isinstance(value, GaussianRational):
+        return value._a, value._b, value._d
     return None
 
 
@@ -295,10 +317,8 @@ def _dot(xs: Sequence[GaussianRational], ys: Sequence[GaussianRational]) -> Gaus
     return _sum_of(x * y for x, y in zip(xs, ys))
 
 
-def _quotient(num, den) -> GaussianRational:
+def _quotient(a: int, b: int, d: int, c: int, e: int, f: int) -> GaussianRational:
     """(a + b*i)/d divided by (c + e*i)/f, as one reduction."""
-    a, b, d = num
-    c, e, f = den
     n = c * c + e * e
     if n == 0:
         raise ZeroDivisionError("inverse of zero in Q(i)")
@@ -310,7 +330,7 @@ def _over_power(num: GaussianRational, den: GaussianRational, k: int) -> Gaussia
     c, e, f = den._a, den._b, den._d
     if k == 2:
         c, e, f = c * c - e * e, 2 * c * e, f * f
-    return _quotient((num._a, num._b, num._d), (c, e, f))
+    return _quotient(num._a, num._b, num._d, c, e, f)
 
 
 GAUSSIAN_I = _gauss(0, 1, 1)
@@ -526,7 +546,7 @@ class ExactMatrix(_Record):
 
     def scale(self, factor: ScalarLike) -> "ExactMatrix":
         c = GaussianRational.coerce(factor)
-        return ExactMatrix([[c * e for e in row] for row in self.rows])
+        return ExactMatrix._wrap(tuple(tuple(c * e for e in row) for row in self.rows))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):

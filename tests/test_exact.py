@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from ncmoduli import exact
+from ncmoduli import elliptic, exact
 from ncmoduli.errors import SchemaError
 from ncmoduli.exact import (
     GAUSSIAN_I,
@@ -167,6 +167,60 @@ def test_gaussian_matches_fraction_pair_reference():
             _assert_matches(x.inverse(), _ref_inverse(rx))
         for k in range(-3 if any(rx) else 0, 5):
             _assert_matches(x ** k, _ref_pow(rx, k))
+
+
+def _with_denominator(rng, h, d):
+    """A Gaussian rational of height up to h whose canonical triple has denominator d."""
+    a, b = rng.randint(-h, h), rng.randint(-h, h)
+    if d != 1 and gcd(a, b, d) != 1:
+        a = a * d + 1
+    g = GaussianRational(Fraction(a, d), Fraction(b, d))
+    assert g._d == d
+    return g
+
+
+def _sum_branch(x, y):
+    """The branch of ``exact._sum`` that adds the triples of x and y."""
+    if x._d == y._d:
+        return "both 1" if x._d == 1 else "equal, not 1"
+    if y._d == 1:
+        return "right 1"
+    return "left 1" if x._d == 1 else "general"
+
+
+def test_gaussian_operands_match_fraction_pair_reference():
+    # both operands are GaussianRationals, so each operator reads the other
+    # operand's triple from its slots; every branch of _sum is reached
+    rng = Random(134)
+    seen = set()
+    for _ in range(800):
+        h = 10 ** rng.randint(0, 40)
+        kind = rng.choice(("both 1", "equal", "one 1", "general"))
+        d = 1 if kind in ("both 1", "one 1") else rng.randint(2, h + 2)
+        f = d if kind in ("both 1", "equal") else rng.randint(2, h + 2)
+        while kind == "general" and f == d:
+            f = rng.randint(2, h + 2)
+        x, y = _with_denominator(rng, h, d), _with_denominator(rng, h, f)
+        if rng.randrange(2):
+            x, y = y, x
+        seen.update((_sum_branch(x, y), _sum_branch(y, x)))
+        rx, ry = _ref(x), _ref(y)
+        _assert_matches(x + y, (rx[0] + ry[0], rx[1] + ry[1]))
+        _assert_matches(y + x, (rx[0] + ry[0], rx[1] + ry[1]))
+        _assert_matches(x - y, (rx[0] - ry[0], rx[1] - ry[1]))
+        _assert_matches(y - x, (ry[0] - rx[0], ry[1] - rx[1]))
+        _assert_matches(x * y, _ref_mul(rx, ry))
+        _assert_matches(y * x, _ref_mul(rx, ry))
+        if any(ry):
+            _assert_matches(x / y, _ref_mul(rx, _ref_inverse(ry)))
+        if any(rx):
+            _assert_matches(y / x, _ref_mul(ry, _ref_inverse(rx)))
+        # x - x and x + -x cancel on the branch for equal denominators
+        _assert_matches(x - x, (Fraction(0), Fraction(0)))
+        _assert_matches(x + -x, (Fraction(0), Fraction(0)))
+        with pytest.raises(ZeroDivisionError):
+            x / (y - y)
+    assert seen == {"both 1", "equal, not 1", "right 1", "left 1", "general"}
 
 
 def _reference_triple(re, im):
@@ -516,6 +570,51 @@ def test_a_product_skips_the_zero_entries_of_its_right_factor():
     product = counted_a * counted_b
     assert tally == [64]
     assert [[v.value for v in row] for row in product.rows] == _dense_product(a, b)
+
+
+def test_gaussian_operands_are_read_without_a_triple(count_calls):
+    # the matrix kernels and the curve normalizer combine GaussianRationals
+    # only, and read each operand's triple from its slots
+    rng = Random(113)
+    a, b = _random_matrix(rng), _random_matrix(rng)
+    x, y, z = (_rand_gaussian(rng) for _ in range(3))
+    assert x and a.det() and a.power_traces(4)[-1]
+    calls = count_calls(exact, "_triple")
+    a * b
+    a.power_traces(4)
+    a.det()
+    elliptic._normalized(x, y, z)
+    elliptic._normalized(GaussianRational(0), y, z)
+    assert calls == []
+    # an int, a Fraction or a subclass operand still makes one call, so the guard sees the path
+    sub = _GaussianSubclass(Fraction(1, 3), 2)
+    for op in (lambda: x + 1, lambda: 1 - x, lambda: x * Fraction(2, 3), lambda: x / 5, lambda: 2 / x,
+               lambda: x - sub):
+        calls.clear()
+        op()
+        assert len(calls) == 1
+    assert x - sub == x - GaussianRational(Fraction(1, 3), 2)
+
+
+class _GaussianSubclass(GaussianRational):
+    __slots__ = ()
+
+
+def test_scale_keeps_entries_of_any_ring():
+    # a matrix of polynomials scales entrywise, as its products and determinant run
+    x = _Poly.variables(3)
+    m = ExactMatrix._wrap(((x[0], x[1] * x[2]), (x[2] + 1, _Poly({0: Fraction(1, 3)}))))
+    for c in (2, Fraction(-3, 4), GaussianRational(1, 2)):
+        assert (m * c).rows == tuple(tuple(e * c for e in row) for row in m.rows)
+    assert (m * 2).rows == tuple(tuple(e + e for e in row) for row in m.rows)
+    # a Q(i) matrix scales to the same GaussianRational entries as before
+    g = _random_matrix(Random(114))
+    for c in (2, Fraction(-3, 4), GaussianRational(1, 2), 0):
+        scaled = g.scale(c)
+        assert scaled == ExactMatrix([[c * e for e in row] for row in g.rows])
+        assert all(type(e) is GaussianRational for row in scaled.rows for e in row)
+    with pytest.raises(TypeError):
+        g.scale(0.5)
 
 
 def test_poly_takes_only_polynomials_and_scalars():

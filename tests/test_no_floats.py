@@ -24,6 +24,8 @@ from ncmoduli.quintuple import Quintuple
 from ncmoduli.quiver import CyclicPotential, conifold_potential, conifold_quiver
 
 PACKAGE = Path(ncmoduli.__file__).parent
+#: A non-real operand for the Q(i) operators.
+_G = GaussianRational(Fraction(1, 3), 2)
 
 
 def _float_uses(tree):
@@ -57,6 +59,10 @@ ENTRY_POINTS = {
     "GaussianRational": lambda v: GaussianRational(v),
     "GaussianRational.im": lambda v: GaussianRational(1, v),
     "GaussianRational.im, Fraction re": lambda v: GaussianRational(Fraction(1, 3), v),
+    "GaussianRational g + v": lambda v: _G + v,
+    "GaussianRational v - g": lambda v: v - _G,
+    "GaussianRational g * v": lambda v: _G * v,
+    "GaussianRational g / v": lambda v: _G / v,
     "SymmetricPotentialMatrix": lambda v: SymmetricPotentialMatrix(
         [[v if r == c == 0 else 0 for c in range(4)] for r in range(4)]
     ),
